@@ -8,7 +8,13 @@ Default mode asserts BENCH_serve.json (written by `seqhide loadgen`)
 carries the named fields with sane values: some traffic was served, the
 shed rate is a fraction, the latency quantiles are ordered, and the
 accounting adds up — including the per-tenant rows and Jain fairness
-index a `--tenants` run records. With PROM_FILE (a saved `GET /metrics`
+index a `--tenants` run records. It also gates the latency breakdown:
+every template whose replies carry server `timings` reports p50/p99 per
+stage plus `unaccounted_ns` (client latency minus the stages' sum), and
+the check fails when a template's unaccounted p50 exceeds both 1 ms and
+half of that template's client p50 — time lost outside the server's
+stages, such as a reply stalled by Nagle's algorithm and delayed ACK
+(~40 ms per request on Linux). With PROM_FILE (a saved `GET /metrics`
 scrape body), also runs a minimal Prometheus text-format check over
 every line.
 
@@ -17,6 +23,8 @@ against a hog-free solo baseline over the same light tenants and
 asserts the admission-control contract: every light tenant's p99 stays
 within 3x its solo p99, the hog absorbed every shed (light tenants shed
 nothing), and the Jain index over the equal-weight lights is >= 0.9.
+The unaccounted gate does not apply there: the hog's sanitizes carry a
+`delay_ms` that the server sleeps outside every stage.
 """
 import json
 import sys
@@ -24,6 +32,9 @@ import sys
 HOG = "t0"  # loadgen's tenant-0 token; hog traffic lands here
 P99_SLACK = 3.0
 JAIN_FLOOR = 0.9
+STAGES = ("queue_wait_ns", "parse_ns", "sanitize_ns", "serialize_ns", "unaccounted_ns")
+UNACCOUNTED_FLOOR_NS = 1_000_000
+UNACCOUNTED_SHARE = 0.5
 
 
 def check_bench(path):
@@ -79,6 +90,38 @@ def check_bench(path):
             lat["p99"] // 1000,
             bench["shed_rate"],
             bench["drain_ms"],
+        )
+    )
+    return bench
+
+
+def check_unaccounted(bench):
+    """Client latency reconciles with the server's stages: no timed
+    template loses more than UNACCOUNTED_FLOOR_NS *and* more than
+    UNACCOUNTED_SHARE of its client p50 outside them."""
+    timed = [row for row in bench["mix"] if row.get("timed", 0) > 0]
+    assert timed, "no template carries server timings: %s" % bench["mix"]
+    for row in timed:
+        for key in STAGES + ("client_ns",):
+            assert key in row, "missing mix[].%s: %s" % (key, row)
+            assert row[key]["p50"] <= row[key]["p99"], (key, row)
+        client = row["client_ns"]["p50"]
+        lost = row["unaccounted_ns"]["p50"]
+        assert lost <= UNACCOUNTED_FLOOR_NS or lost <= UNACCOUNTED_SHARE * client, (
+            "%s: unaccounted p50 %dns of client p50 %dns is outside every "
+            "server stage (a stalled socket write?): %s"
+            % (row["template"], lost, client, row)
+        )
+    print(
+        "latency reconciles: %s"
+        % ", ".join(
+            "%s unaccounted p50 %dus of %dus"
+            % (
+                row["template"],
+                row["unaccounted_ns"]["p50"] // 1000,
+                row["client_ns"]["p50"] // 1000,
+            )
+            for row in timed
         )
     )
 
@@ -183,7 +226,7 @@ def main():
         check_bench(solo)
         check_fairness(contended, solo)
         return
-    check_bench(sys.argv[1])
+    check_unaccounted(check_bench(sys.argv[1]))
     if len(sys.argv) > 2:
         check_prometheus(sys.argv[2])
 

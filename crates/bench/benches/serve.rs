@@ -6,9 +6,11 @@
 //! duration, and writes the merged client-side measurements to
 //! `BENCH_serve.json` at the workspace root — throughput, p50/p95/p99
 //! latency (log2-bucket histograms with log-linear quantile
-//! interpolation, see `docs/OBSERVABILITY.md`), shed rate, and drain
-//! time. The committed file is the trajectory; CI's serve-load-smoke
-//! job re-derives one over the CLI and asserts its sanity.
+//! interpolation, see `docs/OBSERVABILITY.md`), shed rate, drain time,
+//! and per template the server's `timings` stages plus the client
+//! latency they leave unaccounted. The committed file is the
+//! trajectory; CI's serve-load-smoke job re-derives one over the CLI
+//! and asserts its sanity.
 //!
 //! Hand-rolled like `sanitize.rs` rather than criterion: one load run
 //! IS the measurement (thousands of requests each timed client-side);
@@ -18,7 +20,7 @@
 use std::thread;
 use std::time::Duration;
 
-use seqhide_serve::loadgen::{run, LoadgenOptions};
+use seqhide_serve::loadgen::{run, shutdown, LoadgenOptions};
 use seqhide_serve::{ServeOptions, Server};
 
 fn main() {
@@ -31,6 +33,7 @@ fn main() {
         queue_depth: 64,
         metrics_addr: None,
         data_dir: None,
+        tenants: None,
     })
     .expect("bind bench server");
     let addr = server.local_addr();
@@ -46,6 +49,8 @@ fn main() {
         sequences: 64,
         dataset: None,
         delta_fraction: 0.0,
+        tenants: 0,
+        hog_fraction: 0.0,
     };
     eprintln!(
         "serve bench: {} client(s) against {} worker(s) for {:?}",
@@ -54,14 +59,7 @@ fn main() {
     let report = run(&options).expect("loadgen run");
 
     // drain via the wire so the summary's accounting is exercised too
-    {
-        use std::io::{BufRead, BufReader, Write};
-        let mut stream = std::net::TcpStream::connect(addr).expect("connect for shutdown");
-        writeln!(stream, r#"{{"type":"shutdown"}}"#).unwrap();
-        stream.flush().unwrap();
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line).unwrap();
-    }
+    shutdown(&options.addr, None).expect("shutdown acknowledged");
     let summary = handle.join().expect("server thread");
 
     eprintln!(

@@ -13,14 +13,22 @@
 //! Latency is recorded client-side into [`HistStat`] values (the same
 //! log2 buckets and quantile estimator as the server's telemetry), so
 //! the p50/p95/p99 in `BENCH_serve.json` are directly comparable to
-//! the server's `serve_request_nanos` histogram.
+//! the server's `serve_request_nanos` histogram. Each template's row
+//! also reconciles its client latency with the server's own `timings`:
+//! every stage a sanitize reply reports, plus the remainder no stage
+//! covers (`unaccounted_ns`), so time lost on the wire shows up as a
+//! number instead of hiding inside the total.
+//!
+//! Every connection sets `TCP_NODELAY` and sends each request as one
+//! write ([`protocol::write_line`]), the framing contract the server
+//! keeps for its replies.
 //!
 //! Everything here is std-only and deterministic given `seed`: the
 //! per-client RNG is an inline splitmix64 (the serve crate carries no
 //! rand dependency), and the synthetic workload database comes from
 //! `seqhide_data::markov_db`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -28,6 +36,8 @@ use std::time::{Duration, Instant};
 use seqhide_obs::HistStat;
 
 use crate::json::Json;
+use crate::protocol;
+use crate::trace::Timings;
 
 /// Load-generation parameters.
 #[derive(Clone, Debug)]
@@ -89,13 +99,96 @@ impl Default for LoadgenOptions {
     }
 }
 
+/// The `timings` stages a sanitize reply reports, followed by the
+/// client-side remainder: client latency minus the stages' sum. The
+/// names are the `BENCH_serve.json` keys of [`TemplateLoad::stages`].
+pub const STAGES: [&str; 5] = [
+    "queue_wait_ns",
+    "parse_ns",
+    "sanitize_ns",
+    "serialize_ns",
+    "unaccounted_ns",
+];
+
 /// One template's share of the traffic in the final report.
 #[derive(Clone, Debug)]
-pub struct TemplateCount {
+pub struct TemplateLoad {
     /// Template name (e.g. `plain-hh`).
     pub name: &'static str,
     /// Requests sent from this template.
     pub sent: u64,
+    /// Client-side latency of this template's requests.
+    pub latency: HistStat,
+    /// One histogram per [`STAGES`] entry, over the replies that
+    /// carried `timings` (successful sanitizes); empty for the other
+    /// request types.
+    pub stages: [HistStat; 5],
+}
+
+impl TemplateLoad {
+    fn new(name: &'static str) -> TemplateLoad {
+        TemplateLoad {
+            name,
+            sent: 0,
+            latency: HistStat::default(),
+            stages: Default::default(),
+        }
+    }
+
+    /// Records one reply: its client latency and, when the server
+    /// reported `timings`, each stage and the unaccounted remainder.
+    fn record(&mut self, latency_ns: u64, timings: Option<Timings>) {
+        self.sent += 1;
+        self.latency.record(latency_ns);
+        if let Some(t) = timings {
+            let legs = [
+                t.queue_wait_ns,
+                t.parse_ns,
+                t.sanitize_ns,
+                t.serialize_ns,
+                latency_ns.saturating_sub(t.sum_ns()),
+            ];
+            for (hist, ns) in self.stages.iter_mut().zip(legs) {
+                hist.record(ns);
+            }
+        }
+    }
+
+    fn merge(&mut self, other: &TemplateLoad) {
+        self.sent += other.sent;
+        self.latency.merge(&other.latency);
+        for (hist, theirs) in self.stages.iter_mut().zip(&other.stages) {
+            hist.merge(theirs);
+        }
+    }
+
+    /// The `mix` row: counts and client p50/p99, then — when any reply
+    /// was timed — how many were, and p50/p99 per stage.
+    fn to_json_row(&self) -> String {
+        use std::fmt::Write as _;
+        let quantiles = |h: &HistStat| {
+            format!(
+                "{{\"p50\": {}, \"p99\": {}}}",
+                h.quantile(0.50),
+                h.quantile(0.99)
+            )
+        };
+        let mut row = format!(
+            "{{\"template\": \"{}\", \"sent\": {}, \"client_ns\": {}",
+            self.name,
+            self.sent,
+            quantiles(&self.latency)
+        );
+        let timed = self.stages[0].count;
+        if timed > 0 {
+            let _ = write!(row, ", \"timed\": {timed}");
+            for (name, hist) in STAGES.iter().zip(&self.stages) {
+                let _ = write!(row, ", \"{name}\": {}", quantiles(hist));
+            }
+        }
+        row.push('}');
+        row
+    }
 }
 
 /// One tenant's share of a multi-tenant load run.
@@ -152,8 +245,9 @@ pub struct LoadReport {
     /// template is disabled) — deltas serialize on the server's session
     /// lock, so their tail is worth watching separately.
     pub delta_latency: HistStat,
-    /// Per-template request counts, mix order (heaviest first).
-    pub mix: Vec<TemplateCount>,
+    /// Per-template requests, latency and server stages, mix order
+    /// (heaviest first).
+    pub mix: Vec<TemplateLoad>,
     /// Per-tenant breakdown (empty in single-tenant runs).
     pub tenants: Vec<TenantLoad>,
     /// Jain's fairness index over the **light** tenants' `ok`
@@ -255,11 +349,7 @@ impl LoadReport {
         out.push_str("  \"mix\": [\n");
         for (i, t) in self.mix.iter().enumerate() {
             let comma = if i + 1 < self.mix.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"template\": \"{}\", \"sent\": {}}}{comma}",
-                t.name, t.sent
-            );
+            let _ = writeln!(out, "    {}{comma}", t.to_json_row());
         }
         out.push_str("  ]\n}\n");
         out
@@ -470,13 +560,34 @@ fn zipf_cumulative(n: usize) -> Vec<f64> {
 
 struct ClientStats {
     hist: HistStat,
-    delta_hist: HistStat,
     ok: u64,
     overloaded: u64,
     quota: u64,
     errors: u64,
-    sent: Vec<u64>,
+    mix: Vec<TemplateLoad>,
     last_response: Option<Instant>,
+}
+
+/// Opens a client connection with `TCP_NODELAY` set, so each request
+/// line leaves as soon as it is written.
+fn connect(addr: &str) -> Result<TcpStream, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set TCP_NODELAY on {addr}: {e}"))?;
+    Ok(stream)
+}
+
+/// Sends one request line on a fresh connection and returns the reply
+/// line.
+fn round_trip(addr: &str, mut request: String) -> Result<String, String> {
+    let mut stream = connect(addr)?;
+    protocol::write_line(&mut stream, &mut request).map_err(|e| format!("send: {e}"))?;
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .map_err(|e| format!("recv: {e}"))?;
+    Ok(line)
 }
 
 fn client_loop(
@@ -487,20 +598,22 @@ fn client_loop(
     deadline: Instant,
     seed: u64,
 ) -> Result<ClientStats, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("clone socket: {e}"))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(connect(addr)?);
+    // `write_line` frames a line by appending the terminator in place,
+    // so each request is copied into this client's own buffer (outside
+    // the timed window) rather than every client cloning every template.
+    let mut request = String::new();
     let mut rng = seed;
     let mut stats = ClientStats {
         hist: HistStat::default(),
-        delta_hist: HistStat::default(),
         ok: 0,
         overloaded: 0,
         quota: 0,
         errors: 0,
-        sent: vec![0; templates.len()],
+        mix: templates
+            .iter()
+            .map(|t| TemplateLoad::new(t.name))
+            .collect(),
         last_response: None,
     };
     let mut line = String::new();
@@ -514,10 +627,10 @@ fn client_loop(
                 cum.iter().position(|&c| u <= c).unwrap_or(cum.len() - 1)
             }
         };
-        let template = &templates[pick];
+        request.clear();
+        request.push_str(&templates[pick].line);
         let started = Instant::now();
-        writeln!(writer, "{}", template.line).map_err(|e| format!("send: {e}"))?;
-        writer.flush().map_err(|e| format!("send: {e}"))?;
+        protocol::write_line(reader.get_mut(), &mut request).map_err(|e| format!("send: {e}"))?;
         line.clear();
         let n = reader
             .read_line(&mut line)
@@ -528,11 +641,8 @@ fn client_loop(
         let now = Instant::now();
         let elapsed_ns = now.duration_since(started).as_nanos() as u64;
         stats.hist.record(elapsed_ns);
-        if delta.is_some_and(|(at, _)| at == pick) {
-            stats.delta_hist.record(elapsed_ns);
-        }
         stats.last_response = Some(now);
-        stats.sent[pick] += 1;
+        stats.mix[pick].record(elapsed_ns, protocol::spliced_timings(&line));
         // Responses render `status` as one of a closed set; substring
         // classification avoids parsing multi-megabyte release payloads
         // on the measurement path.
@@ -554,10 +664,6 @@ fn client_loop(
 /// repeated runs against one server reuse the interned copy (whatever
 /// text it holds — replacing it is an explicit `unload` away).
 fn preload_dataset(addr: &str, name: &str, db: &str, tenant: Option<&str>) -> Result<(), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("clone socket: {e}"))?;
     let mut fields = vec![
         ("type".to_string(), Json::Str("load".to_string())),
         ("name".to_string(), Json::Str(name.to_string())),
@@ -566,17 +672,34 @@ fn preload_dataset(addr: &str, name: &str, db: &str, tenant: Option<&str>) -> Re
     if let Some(token) = tenant {
         fields.push(("tenant".to_string(), Json::Str(token.to_string())));
     }
-    let request = Json::Obj(fields).render();
-    writeln!(writer, "{request}").map_err(|e| format!("load '{name}': {e}"))?;
-    writer.flush().map_err(|e| format!("load '{name}': {e}"))?;
-    let mut line = String::new();
-    BufReader::new(stream)
-        .read_line(&mut line)
-        .map_err(|e| format!("load '{name}': {e}"))?;
+    let line =
+        round_trip(addr, Json::Obj(fields).render()).map_err(|e| format!("load '{name}': {e}"))?;
     if line.contains("\"status\":\"ok\"") || line.contains("already loaded") {
         Ok(())
     } else {
         Err(format!("load '{name}' failed: {}", line.trim()))
+    }
+}
+
+/// Sends a `shutdown` request (stamped with `tenant`'s token, if any)
+/// and waits for the acknowledgement, so the caller can rely on the
+/// server having begun its drain. Any other reply (e.g. an unresolved
+/// tenant token) is an error: the server would otherwise keep running
+/// after a "successful" shutdown.
+pub fn shutdown(addr: &str, tenant: Option<&str>) -> Result<(), String> {
+    let mut fields = vec![("type".to_string(), Json::Str("shutdown".to_string()))];
+    if let Some(token) = tenant {
+        fields.push(("tenant".to_string(), Json::Str(token.to_string())));
+    }
+    let line =
+        round_trip(addr, Json::Obj(fields).render()).map_err(|e| format!("shutdown: {e}"))?;
+    if line.contains("\"draining\":true") {
+        Ok(())
+    } else {
+        Err(format!(
+            "shutdown was not acknowledged as draining: {}",
+            line.trim()
+        ))
     }
 }
 
@@ -712,13 +835,7 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadReport, String> {
         drain: Duration::ZERO,
         latency: HistStat::default(),
         delta_latency: HistStat::default(),
-        mix: sets[0]
-            .iter()
-            .map(|t| TemplateCount {
-                name: t.name,
-                sent: 0,
-            })
-            .collect(),
+        mix: sets[0].iter().map(|t| TemplateLoad::new(t.name)).collect(),
         tenants: if multi {
             (0..options.tenants)
                 .map(|i| TenantLoad {
@@ -747,9 +864,8 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadReport, String> {
                 report.errors += stats.errors;
                 quota_total += stats.quota;
                 report.latency.merge(&stats.hist);
-                report.delta_latency.merge(&stats.delta_hist);
-                for (slot, sent) in report.mix.iter_mut().zip(&stats.sent) {
-                    slot.sent += sent;
+                for (slot, theirs) in report.mix.iter_mut().zip(&stats.mix) {
+                    slot.merge(theirs);
                 }
                 if multi {
                     let row = &mut report.tenants[tenant];
@@ -772,6 +888,9 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadReport, String> {
         return Err(e);
     }
     report.requests = report.ok + report.overloaded + quota_total + report.errors;
+    if let Some((at, _)) = delta {
+        report.delta_latency = report.mix[at].latency.clone();
+    }
     if let Some(last) = last_response {
         report.elapsed = last.duration_since(started);
         report.drain = last.saturating_duration_since(deadline);
@@ -907,9 +1026,9 @@ mod tests {
             drain: Duration::from_millis(12),
             latency,
             delta_latency: HistStat::default(),
-            mix: vec![TemplateCount {
-                name: "plain-hh",
+            mix: vec![TemplateLoad {
                 sent: 4,
+                ..TemplateLoad::new("plain-hh")
             }],
             tenants: Vec::new(),
             jain_fairness: 1.0,
@@ -935,6 +1054,42 @@ mod tests {
         // single-tenant reports carry no tenant section at all
         assert!(!json.contains("\"tenants\""));
         assert!(!json.contains("\"jain_fairness\""));
+    }
+
+    #[test]
+    fn mix_rows_reconcile_client_latency_with_server_stages() {
+        let mut sanitize = TemplateLoad::new("plain-hh");
+        let timings = Timings {
+            queue_wait_ns: 1_000,
+            parse_ns: 2_000,
+            sanitize_ns: 30_000,
+            serialize_ns: 7_000,
+        };
+        sanitize.record(50_000, Some(timings));
+        let mut health = TemplateLoad::new("health");
+        health.record(9_000, None);
+        // merging folds counts and every histogram
+        let mut merged = TemplateLoad::new("plain-hh");
+        merged.merge(&sanitize);
+        merged.merge(&sanitize);
+        assert_eq!(merged.sent, 2);
+        assert_eq!(merged.latency.count, 2);
+        assert!(merged.stages.iter().all(|h| h.count == 2));
+        // client 50µs − Σ stages 40µs leaves 10µs unaccounted
+        assert_eq!(sanitize.stages[4].max, 10_000);
+
+        let row = crate::json::parse(&sanitize.to_json_row()).expect("row is JSON");
+        assert_eq!(row.get("sent").and_then(Json::as_u64), Some(1));
+        assert_eq!(row.get("timed").and_then(Json::as_u64), Some(1));
+        for name in STAGES.iter().chain(&["client_ns"]) {
+            let q = row.get(name).unwrap_or_else(|| panic!("missing {name}"));
+            let (p50, p99) = (q.get("p50").unwrap(), q.get("p99").unwrap());
+            assert!(p50.as_u64() <= p99.as_u64(), "{name}");
+        }
+        // untimed request types report client latency only
+        let row = crate::json::parse(&health.to_json_row()).expect("row is JSON");
+        assert!(row.get("client_ns").is_some());
+        assert!(row.get("timed").is_none() && row.get("unaccounted_ns").is_none());
     }
 
     #[test]
@@ -1000,9 +1155,9 @@ mod tests {
             drain: Duration::ZERO,
             latency: light.clone(),
             delta_latency: HistStat::default(),
-            mix: vec![TemplateCount {
-                name: "plain-hh",
+            mix: vec![TemplateLoad {
                 sent: 30,
+                ..TemplateLoad::new("plain-hh")
             }],
             tenants: vec![
                 TenantLoad {

@@ -1,11 +1,12 @@
 //! The newline-delimited JSON wire protocol: request decoding and
 //! response building.
 //!
-//! One JSON object per line in each direction. Requests carry a `type`
-//! (`sanitize` | `verify` | `stats` | `delta` | `load` | `load_chunk`
-//! | `unload` | `datasets` | `health` | `metrics` | `debug` |
-//! `shutdown`) and an optional `id`, which responses echo verbatim so
-//! clients can pipeline. Responses carry a `status`:
+//! One JSON object per line in each direction, each line written as a
+//! single `write_all` on a `TCP_NODELAY` socket ([`write_line`]).
+//! Requests carry a `type` (`sanitize` | `verify` | `stats` | `delta` |
+//! `load` | `load_chunk` | `unload` | `datasets` | `health` | `metrics`
+//! | `debug` | `shutdown`) and an optional `id`, which responses echo
+//! verbatim so clients can pipeline. Responses carry a `status`:
 //!
 //! * `ok` — the request executed; payload fields depend on the type.
 //! * `error` — the request was malformed or failed; `error` explains.
@@ -37,6 +38,8 @@
 //!
 //! The full specification with examples lives in `docs/SERVER.md`.
 
+use std::io::{self, Write};
+
 use seqhide_core::{parse_algorithm, EngineMode};
 use seqhide_types::OpKind;
 
@@ -46,7 +49,7 @@ use crate::exec::{
 };
 use crate::json::{self, Json};
 use crate::registry::DatasetInfo;
-use crate::trace::Trace;
+use crate::trace::{Timings, Trace};
 
 /// The largest `delay_ms` a `sanitize` request may carry. The field is
 /// a load-testing knob exposed on the wire, so it must not double as a
@@ -755,6 +758,25 @@ pub fn ok_debug(id: &Option<Json>, recorded: u64, slowest: &[Trace]) -> String {
     )
 }
 
+/// Writes one NDJSON line to `out` as a single `write_all`. The `\n`
+/// terminator is appended to `line` in place (no copy of a payload that
+/// may be a multi-megabyte release) and popped again afterwards, leaving
+/// the caller's buffer as it was.
+///
+/// Every line the project writes to a TCP socket goes through here, on
+/// a socket with `TCP_NODELAY` set: writing the body and the `\n` as two
+/// writes lets Nagle's algorithm hold the second back until the peer's
+/// delayed ACK, about 40 ms per line on Linux.
+pub fn write_line<W: Write + ?Sized>(out: &mut W, line: &mut String) -> io::Result<()> {
+    line.push('\n');
+    let written = out.write_all(line.as_bytes());
+    line.pop();
+    written
+}
+
+/// The member [`with_timings`] splices in as a response's last.
+const TIMINGS_MEMBER: &str = ",\"timings\":";
+
 /// Splices a `timings` object into an already-rendered single-line
 /// JSON object response. Responses are rendered before the timings
 /// exist (serialization is itself one of the timed legs), so the
@@ -764,10 +786,30 @@ pub fn with_timings(line: String, timings: &Json) -> String {
     debug_assert!(line.ends_with('}'), "response must be a JSON object");
     let mut line = line;
     line.pop();
-    line.push_str(",\"timings\":");
+    line.push_str(TIMINGS_MEMBER);
     line.push_str(&timings.render());
     line.push('}');
     line
+}
+
+/// Reads back the `timings` that [`with_timings`] spliced into a
+/// response line, parsing only the tail after the last `"timings":`
+/// key rather than the (possibly multi-megabyte) payload before it.
+/// `None` when the line carries no timings. A string value cannot
+/// contain the unescaped key, so the last occurrence is the splice.
+pub(crate) fn spliced_timings(line: &str) -> Option<Timings> {
+    let at = line.rfind(TIMINGS_MEMBER)?;
+    let object = line[at + TIMINGS_MEMBER.len()..]
+        .trim_end()
+        .strip_suffix('}')?;
+    let doc = json::parse(object).ok()?;
+    let leg = |key: &str| doc.get(key).and_then(Json::as_u64);
+    Some(Timings {
+        queue_wait_ns: leg("queue_wait_ns")?,
+        parse_ns: leg("parse_ns")?,
+        sanitize_ns: leg("sanitize_ns")?,
+        serialize_ns: leg("serialize_ns")?,
+    })
 }
 
 fn dataset_fields(info: &DatasetInfo) -> Vec<(String, Json)> {
@@ -1315,6 +1357,65 @@ mod tests {
         // the original payload is intact
         assert_eq!(doc.get("id").unwrap().as_u64(), Some(9));
         assert_eq!(doc.get("draining").unwrap().as_bool(), Some(true));
+        // and the client-side reader recovers the legs from the tail
+        let read = spliced_timings(&spliced).expect("timings read back");
+        assert_eq!(
+            (
+                read.queue_wait_ns,
+                read.parse_ns,
+                read.sanitize_ns,
+                read.serialize_ns
+            ),
+            (10, 20, 30, 40)
+        );
+        assert_eq!(read.sum_ns(), 100);
+    }
+
+    #[test]
+    fn spliced_timings_ignores_lookalikes_in_the_payload() {
+        // a payload string quoting the key is escaped, so it never
+        // matches; a line without the splice reads as untimed
+        let line = error(&None, r#"bad ,"timings":{"parse_ns":1}"#);
+        assert!(spliced_timings(&line).is_none(), "{line}");
+        assert!(spliced_timings(&ok_shutdown(&None)).is_none());
+        let timings = Timings {
+            queue_wait_ns: 1,
+            parse_ns: 2,
+            sanitize_ns: 3,
+            serialize_ns: 4,
+        };
+        let spliced = with_timings(line, &timings.to_json(5));
+        assert_eq!(spliced_timings(&spliced).map(|t| t.sum_ns()), Some(10));
+    }
+
+    /// A recording writer: how many `write` calls reached it, and what.
+    #[derive(Default)]
+    struct Writes {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_frames_a_reply_in_one_write_and_keeps_the_buffer() {
+        let mut out = Writes::default();
+        let mut line = ok_shutdown(&Some(Json::num(3)));
+        let before = line.clone();
+        write_line(&mut out, &mut line).unwrap();
+        write_line(&mut out, &mut line).unwrap();
+        assert_eq!(out.calls, 2, "one write per line");
+        assert_eq!(line, before, "the terminator is not left behind");
+        assert_eq!(out.bytes, format!("{before}\n{before}\n").into_bytes());
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! unblocked via `TcpStream::shutdown(Read)` on registered clones, and
 //! [`Server::run`] joins every thread before returning its summary.
 
-use std::io::{self, BufRead, BufReader, Read as _, Write};
+use std::io::{self, BufRead, BufReader, Read as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -534,6 +534,10 @@ fn worker_loop(shared: &Shared) {
 /// unblocking, serves it, and deregisters on the way out so the
 /// registry only ever holds live connections.
 fn handle_connection(shared: &Shared, stream: TcpStream) {
+    // Each reply leaves in one write; with Nagle's algorithm on, the
+    // tail segment of a large reply would still wait for the client's
+    // delayed ACK. A socket that refuses the option is served anyway.
+    let _ = stream.set_nodelay(true);
     let registered = stream
         .try_clone()
         .ok()
@@ -593,11 +597,11 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             Ok(LineRead::Oversized) => {
                 shared.requests.fetch_add(1, Ordering::SeqCst);
                 obs::counter_add(Counter::ServeRequests, 1);
-                let response = protocol::error(
+                let mut response = protocol::error(
                     &None,
                     &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
-                let _ = writeln!(stream, "{response}").and_then(|()| stream.flush());
+                let _ = protocol::write_line(&mut stream, &mut response);
                 return;
             }
             Ok(LineRead::Eof) | Err(_) => return,
@@ -605,11 +609,8 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         let Ok(line) = std::str::from_utf8(&line) else {
             shared.requests.fetch_add(1, Ordering::SeqCst);
             obs::counter_add(Counter::ServeRequests, 1);
-            let response = protocol::error(&None, "request line is not valid UTF-8");
-            if writeln!(stream, "{response}")
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
+            let mut response = protocol::error(&None, "request line is not valid UTF-8");
+            if protocol::write_line(&mut stream, &mut response).is_err() {
                 return;
             }
             continue;
@@ -626,7 +627,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             trace.kind = request.kind();
             trace.stamp(TraceEvent::Parsed);
         }
-        let (response, mut trace) = match decoded {
+        let (mut response, mut trace) = match decoded {
             Err(e) => (protocol::error(&id, &e), trace),
             Ok(request) => match shared.tenants.resolve(token.as_deref()) {
                 Err(e) => (protocol::error(&id, &e), trace),
@@ -639,7 +640,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 }
             },
         };
-        let written = writeln!(stream, "{response}").and_then(|()| stream.flush());
+        let written = protocol::write_line(&mut stream, &mut response);
         let total_ns = trace.stamp(TraceEvent::ResponseWritten);
         obs::hist_record(Hist::ServeRequestNanos, total_ns);
         shared.slow.record(trace);
@@ -991,7 +992,7 @@ fn submit(
 mod tests {
     use super::*;
     use crate::json;
-    use std::io::BufRead;
+    use std::io::{BufRead, Write};
 
     fn start(workers: usize, queue_depth: usize) -> (SocketAddr, thread::JoinHandle<ServeSummary>) {
         let server = Server::bind(&ServeOptions {

@@ -201,6 +201,16 @@ impl Timings {
         }
     }
 
+    /// The four legs added up: the server time a client can account
+    /// for. Client latency minus this is time spent in no leg (socket
+    /// I/O, connection-thread work, any delay the request asked for).
+    pub(crate) fn sum_ns(&self) -> u64 {
+        self.queue_wait_ns
+            .saturating_add(self.parse_ns)
+            .saturating_add(self.sanitize_ns)
+            .saturating_add(self.serialize_ns)
+    }
+
     /// The wire shape: `{"req_id": .., "queue_wait_ns": .., ...}`.
     pub fn to_json(&self, req_id: u64) -> Json {
         Json::Obj(vec![

@@ -9,11 +9,9 @@
 //! a `shutdown` request after the run so scripted pipelines (CI's
 //! serve-load-smoke job) can drain the server without a second tool.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
-use seqhide_serve::loadgen::{run, LoadgenOptions};
+use seqhide_serve::loadgen::{run, shutdown, LoadgenOptions};
 
 use super::flags::Flags;
 use super::{err, CliError};
@@ -101,7 +99,7 @@ pub(crate) fn cmd_loadgen(flags: &Flags) -> Result<String, CliError> {
         // A multi-tenant server with no default tenant refuses untagged
         // requests, so the shutdown rides on tenant 0's token.
         let token = (options.tenants > 0).then_some("t0");
-        send_shutdown(&options.addr, token)?;
+        shutdown(&options.addr, token).map_err(err)?;
     }
     let delta_note = if report.delta_latency.count > 0 {
         format!(
@@ -130,33 +128,4 @@ pub(crate) fn cmd_loadgen(flags: &Flags) -> Result<String, CliError> {
         report.shed_rate(),
         report.drain.as_millis(),
     ))
-}
-
-/// Sends a `shutdown` request and waits for the acknowledgement, so the
-/// caller can rely on the server having begun its drain. An error
-/// response (e.g. an unresolved tenant token) is a hard failure — the
-/// server would otherwise keep running after "successful" shutdown.
-fn send_shutdown(addr: &str, tenant: Option<&str>) -> Result<(), CliError> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| err(format!("shutdown: connect {addr}: {e}")))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| err(format!("shutdown: {e}")))?;
-    let request = match tenant {
-        Some(token) => format!(r#"{{"type":"shutdown","tenant":"{token}"}}"#),
-        None => r#"{"type":"shutdown"}"#.to_string(),
-    };
-    writeln!(writer, "{request}").map_err(|e| err(format!("shutdown: {e}")))?;
-    writer.flush().map_err(|e| err(format!("shutdown: {e}")))?;
-    let mut line = String::new();
-    BufReader::new(stream)
-        .read_line(&mut line)
-        .map_err(|e| err(format!("shutdown: {e}")))?;
-    if !line.contains(r#""draining":true"#) {
-        return Err(err(format!(
-            "shutdown was not acknowledged as draining: {}",
-            line.trim()
-        )));
-    }
-    Ok(())
 }

@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use seqhide::cli::run as cli;
 use seqhide::serve::json::{self, Json};
@@ -649,6 +649,35 @@ fn sanitize_responses_carry_a_timings_breakdown() {
             "missing {leg} in {resp:?}"
         );
     }
+    send_one(addr, r#"{"type":"shutdown"}"#);
+    handle.join().unwrap();
+}
+
+/// Back-to-back requests on one connection must not wait out a delayed
+/// ACK per reply. The client frames each request as one write on a
+/// `TCP_NODELAY` socket, so any stall is the server's: a reply written
+/// as two writes (body, then `\n`) on a socket with Nagle's algorithm on
+/// holds the `\n` until the client's delayed ACK, about 40 ms per round
+/// trip on Linux (4 s for these 100).
+#[test]
+fn back_to_back_round_trips_do_not_wait_for_delayed_acks() {
+    let (addr, handle) = start(1, 4);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let started = Instant::now();
+    let mut line = String::new();
+    for _ in 0..100 {
+        stream.write_all(b"{\"type\":\"health\"}\n").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"status\":\"ok\""), "{line}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 health round trips took {elapsed:?}"
+    );
     send_one(addr, r#"{"type":"shutdown"}"#);
     handle.join().unwrap();
 }
