@@ -27,10 +27,11 @@ use std::time::Instant;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use seqhide_core::local::{sanitize_sequence_scratch, sanitize_sequence_with};
-use seqhide_core::{DeltaState, LocalStrategy, Sanitizer, SeqDelta};
+use seqhide_core::{sanitize_victim, DeltaState, LocalStrategy, Sanitizer, SeqDelta};
 use seqhide_data::markov_db;
-use seqhide_match::{ConstraintSet, Gap, MatchEngine, SensitivePattern, SensitiveSet};
+use seqhide_match::{
+    ConstraintSet, Gap, MatchEngine, ScratchDomain, SensitivePattern, SensitiveSet,
+};
 use seqhide_num::Sat64;
 use seqhide_string::{StringDomain, StringPattern};
 use seqhide_types::{Alphabet, OpKind, Sequence, SequenceDb};
@@ -108,7 +109,7 @@ fn main() {
             let mut rng = ChaCha8Rng::seed_from_u64(7);
             victims
                 .iter_mut()
-                .map(|t| sanitize_sequence_with(t, LocalStrategy::Heuristic, &mut rng, &mut engine))
+                .map(|t| sanitize_victim(&mut engine, t, LocalStrategy::Heuristic, &mut rng))
                 .sum()
         };
         let marks_scratch: usize = {
@@ -117,9 +118,9 @@ fn main() {
             victims
                 .iter_mut()
                 .map(|t| {
-                    sanitize_sequence_scratch::<Sat64, _>(
+                    sanitize_victim(
+                        &mut ScratchDomain::<Sat64>::new(&w.sh),
                         t,
-                        &w.sh,
                         LocalStrategy::Heuristic,
                         &mut rng,
                     )
@@ -132,7 +133,7 @@ fn main() {
             let mut engine = MatchEngine::<Sat64>::new(&w.sh);
             let mut rng = ChaCha8Rng::seed_from_u64(7);
             for t in victims.iter_mut() {
-                sanitize_sequence_with(t, LocalStrategy::Heuristic, &mut rng, &mut engine);
+                sanitize_victim(&mut engine, t, LocalStrategy::Heuristic, &mut rng);
             }
         };
         // A/B the obs runtime gate with interleaved reps (alternating
@@ -149,7 +150,12 @@ fn main() {
         let scratch_ns = measure(w, reps, |victims| {
             let mut rng = ChaCha8Rng::seed_from_u64(7);
             for t in victims.iter_mut() {
-                sanitize_sequence_scratch::<Sat64, _>(t, &w.sh, LocalStrategy::Heuristic, &mut rng);
+                sanitize_victim(
+                    &mut ScratchDomain::<Sat64>::new(&w.sh),
+                    t,
+                    LocalStrategy::Heuristic,
+                    &mut rng,
+                );
             }
         });
         let speedup = scratch_ns / engine_ns;

@@ -2,43 +2,35 @@
 //!
 //! [`sanitize_victim`] is **the** local marking loop — the only one in the
 //! workspace. It is generic over [`PatternDomain`], so the same loop
-//! drives plain sequences (incremental [`MatchEngine`] or the from-scratch
-//! oracle), itemset sequences, timed sequences, regex patterns, and
-//! spatiotemporal trajectories; what differs per domain is how `δ` is
-//! obtained and what "distort this position" means. The plain-sequence
-//! entry points below are thin wrappers kept for API compatibility.
+//! drives plain sequences (incremental [`MatchEngine`] or the
+//! from-scratch oracle), itemset sequences, timed sequences, regex
+//! patterns, and spatiotemporal trajectories; what differs per domain is
+//! how `δ` is obtained and what "distort this position" means.
+//!
+//! [`MatchEngine`]: seqhide_match::MatchEngine
 
 use rand::seq::IndexedRandom;
 use rand::Rng;
-use seqhide_match::{MatchEngine, PatternDomain, ScratchDomain, SensitiveSet};
-use seqhide_num::Count;
+use seqhide_match::PatternDomain;
 use seqhide_obs::{self as obs, Counter, Hist, Phase};
-use seqhide_types::Sequence;
 
 pub use seqhide_match::LocalStrategy;
 
-/// Which counting core drives the marking loop.
+/// Which counting core drives the plain-pattern marking loop. Only the
+/// default is used in production; [`EngineMode::Scratch`] is the oracle
+/// the tests and benches compare it against
+/// ([`Sanitizer::with_engine`](crate::Sanitizer::with_engine)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EngineMode {
-    /// The incrementally-updated [`MatchEngine`]: tables built once per
-    /// sequence, repaired per mark, zero per-mark allocations on the
-    /// unconstrained and gap-constrained paths.
+    /// The incrementally-updated [`MatchEngine`](seqhide_match::MatchEngine):
+    /// tables built once per sequence, repaired per mark, zero per-mark
+    /// allocations on the unconstrained and gap-constrained paths.
     #[default]
     Incremental,
-    /// The original from-scratch path: `δ` recomputed with fresh tables on
-    /// every iteration. Same choices, same output — only slower.
+    /// The from-scratch [`ScratchDomain`](seqhide_match::ScratchDomain):
+    /// `δ` recomputed with fresh tables on every iteration. Same choices,
+    /// same output — only slower.
     Scratch,
-}
-
-impl EngineMode {
-    /// Parses `"incremental"` / `"scratch"` (CLI `--engine` values).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "incremental" => Some(EngineMode::Incremental),
-            "scratch" => Some(EngineMode::Scratch),
-            _ => None,
-        }
-    }
 }
 
 /// The local marking loop (paper §4, local level): repeatedly pick a
@@ -88,53 +80,17 @@ fn record_victim(span: &obs::Span, marks: usize) {
     obs::hist_record(Hist::VictimNanos, span.elapsed_ns());
 }
 
-/// Sanitizes `t` in place until no sensitive occurrence remains, returning
-/// the number of marks introduced ([`sanitize_victim`] over a fresh
-/// incremental engine).
-pub fn sanitize_sequence<C: Count, R: Rng + ?Sized>(
-    t: &mut Sequence,
-    sh: &SensitiveSet,
-    strategy: LocalStrategy,
-    rng: &mut R,
-) -> usize {
-    let mut engine = MatchEngine::<C>::new(sh);
-    sanitize_victim(&mut engine, t, strategy, rng)
-}
-
-/// [`sanitize_sequence`] driving a caller-owned engine, so the engine's
-/// buffers are reused across victim sequences. The engine's sensitive set
-/// is the one it was built with ([`MatchEngine::new`]).
-pub fn sanitize_sequence_with<C: Count, R: Rng + ?Sized>(
-    t: &mut Sequence,
-    strategy: LocalStrategy,
-    rng: &mut R,
-    engine: &mut MatchEngine<C>,
-) -> usize {
-    sanitize_victim(engine, t, strategy, rng)
-}
-
-/// The original from-scratch marking loop: recomputes `δ` with fresh
-/// tables on every iteration ([`sanitize_victim`] over a
-/// [`ScratchDomain`]). Kept as the `--engine=scratch` escape hatch and as
-/// the oracle the engine path is tested against.
-pub fn sanitize_sequence_scratch<C: Count, R: Rng + ?Sized>(
-    t: &mut Sequence,
-    sh: &SensitiveSet,
-    strategy: LocalStrategy,
-    rng: &mut R,
-) -> usize {
-    let mut domain = ScratchDomain::<C>::new(sh);
-    sanitize_victim(&mut domain, t, strategy, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use seqhide_match::{matching_size, ConstraintSet, Gap, SensitivePattern};
-    use seqhide_num::Sat64;
-    use seqhide_types::Alphabet;
+    use seqhide_match::{
+        matching_size, ConstraintSet, Gap, MatchEngine, ScratchDomain, SensitivePattern,
+        SensitiveSet,
+    };
+    use seqhide_num::{Count, Sat64};
+    use seqhide_types::{Alphabet, Sequence};
 
     fn paper_case() -> (SensitiveSet, Sequence) {
         let mut sigma = Alphabet::new();
@@ -149,7 +105,12 @@ mod tests {
         // one mark suffices.
         let (sh, mut t) = paper_case();
         let mut rng = SmallRng::seed_from_u64(1);
-        let marks = sanitize_sequence::<Sat64, _>(&mut t, &sh, LocalStrategy::Heuristic, &mut rng);
+        let marks = sanitize_victim(
+            &mut MatchEngine::<Sat64>::new(&sh),
+            &mut t,
+            LocalStrategy::Heuristic,
+            &mut rng,
+        );
         assert_eq!(marks, 1);
         assert!(t[2].is_mark());
         assert!(matching_size::<u64>(&sh, &t).is_zero());
@@ -160,7 +121,12 @@ mod tests {
         for seed in 0..20 {
             let (sh, mut t) = paper_case();
             let mut rng = SmallRng::seed_from_u64(seed);
-            let marks = sanitize_sequence::<Sat64, _>(&mut t, &sh, LocalStrategy::Random, &mut rng);
+            let marks = sanitize_victim(
+                &mut MatchEngine::<Sat64>::new(&sh),
+                &mut t,
+                LocalStrategy::Random,
+                &mut rng,
+            );
             assert!(marks >= 1);
             assert!(marks <= t.len());
             assert!(matching_size::<u64>(&sh, &t).is_zero(), "seed {seed}");
@@ -175,7 +141,12 @@ mod tests {
         for seed in 0..50 {
             let (sh, mut t) = paper_case();
             let mut rng = SmallRng::seed_from_u64(seed);
-            let m = sanitize_sequence::<Sat64, _>(&mut t, &sh, LocalStrategy::Random, &mut rng);
+            let m = sanitize_victim(
+                &mut MatchEngine::<Sat64>::new(&sh),
+                &mut t,
+                LocalStrategy::Random,
+                &mut rng,
+            );
             worst_random = worst_random.max(m);
         }
         assert!(worst_random >= 1);
@@ -189,7 +160,12 @@ mod tests {
         let sh = SensitiveSet::new(vec![s]);
         let before = t.clone();
         let mut rng = SmallRng::seed_from_u64(0);
-        let marks = sanitize_sequence::<Sat64, _>(&mut t, &sh, LocalStrategy::Heuristic, &mut rng);
+        let marks = sanitize_victim(
+            &mut MatchEngine::<Sat64>::new(&sh),
+            &mut t,
+            LocalStrategy::Heuristic,
+            &mut rng,
+        );
         assert_eq!(marks, 0);
         assert_eq!(t, before);
     }
@@ -205,7 +181,12 @@ mod tests {
         let p = SensitivePattern::new(s.clone(), ConstraintSet::with_max_window(2)).unwrap();
         let sh = SensitiveSet::from_patterns(vec![p]);
         let mut rng = SmallRng::seed_from_u64(0);
-        let marks = sanitize_sequence::<Sat64, _>(&mut t, &sh, LocalStrategy::Heuristic, &mut rng);
+        let marks = sanitize_victim(
+            &mut MatchEngine::<Sat64>::new(&sh),
+            &mut t,
+            LocalStrategy::Heuristic,
+            &mut rng,
+        );
         assert_eq!(marks, 1);
         assert!(matching_size::<u64>(&sh, &t).is_zero());
         // the unconstrained pattern still occurs — less distortion
@@ -221,7 +202,12 @@ mod tests {
         let mut t = Sequence::parse("a c b d", &mut sigma);
         let sh = SensitiveSet::new(vec![s1, s2]);
         let mut rng = SmallRng::seed_from_u64(0);
-        let marks = sanitize_sequence::<Sat64, _>(&mut t, &sh, LocalStrategy::Heuristic, &mut rng);
+        let marks = sanitize_victim(
+            &mut MatchEngine::<Sat64>::new(&sh),
+            &mut t,
+            LocalStrategy::Heuristic,
+            &mut rng,
+        );
         assert!(matching_size::<u64>(&sh, &t).is_zero());
         assert!(marks <= 2);
     }
@@ -236,7 +222,12 @@ mod tests {
         let p = SensitivePattern::new(s, cs).unwrap();
         let sh = SensitiveSet::from_patterns(vec![p]);
         let mut rng = SmallRng::seed_from_u64(0);
-        let marks = sanitize_sequence::<Sat64, _>(&mut t, &sh, LocalStrategy::Heuristic, &mut rng);
+        let marks = sanitize_victim(
+            &mut MatchEngine::<Sat64>::new(&sh),
+            &mut t,
+            LocalStrategy::Heuristic,
+            &mut rng,
+        );
         assert_eq!(marks, 0);
     }
 
@@ -273,11 +264,15 @@ mod tests {
                     let mut t_scr = t.clone();
                     let mut rng_eng = SmallRng::seed_from_u64(seed);
                     let mut rng_scr = SmallRng::seed_from_u64(seed);
-                    let m_eng =
-                        sanitize_sequence::<Sat64, _>(&mut t_eng, sh, strategy, &mut rng_eng);
-                    let m_scr = sanitize_sequence_scratch::<Sat64, _>(
+                    let m_eng = sanitize_victim(
+                        &mut MatchEngine::<Sat64>::new(sh),
+                        &mut t_eng,
+                        strategy,
+                        &mut rng_eng,
+                    );
+                    let m_scr = sanitize_victim(
+                        &mut ScratchDomain::<Sat64>::new(sh),
                         &mut t_scr,
-                        sh,
                         strategy,
                         &mut rng_scr,
                     );
@@ -308,27 +303,15 @@ mod tests {
             let mut t_fresh = t_shared.clone();
             let mut rng1 = SmallRng::seed_from_u64(7);
             let mut rng2 = SmallRng::seed_from_u64(7);
-            let m1 = sanitize_sequence_with(
-                &mut t_shared,
+            let m1 = sanitize_victim(&mut engine, &mut t_shared, LocalStrategy::Random, &mut rng1);
+            let m2 = sanitize_victim(
+                &mut MatchEngine::<Sat64>::new(&sh),
+                &mut t_fresh,
                 LocalStrategy::Random,
-                &mut rng1,
-                &mut engine,
+                &mut rng2,
             );
-            let m2 =
-                sanitize_sequence::<Sat64, _>(&mut t_fresh, &sh, LocalStrategy::Random, &mut rng2);
             assert_eq!(m1, m2, "victim {i}");
             assert_eq!(t_shared, t_fresh, "victim {i}");
         }
-    }
-
-    #[test]
-    fn engine_mode_parses() {
-        assert_eq!(
-            EngineMode::parse("incremental"),
-            Some(EngineMode::Incremental)
-        );
-        assert_eq!(EngineMode::parse("scratch"), Some(EngineMode::Scratch));
-        assert_eq!(EngineMode::parse("turbo"), None);
-        assert_eq!(EngineMode::default(), EngineMode::Incremental);
     }
 }

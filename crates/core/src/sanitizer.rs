@@ -8,7 +8,7 @@ use seqhide_match::{
 };
 use seqhide_num::{BigCount, Sat64};
 use seqhide_obs::{self as obs, Phase};
-use seqhide_types::SequenceDb;
+use seqhide_types::{Sequence, SequenceDb};
 
 use crate::global::{select_victims, GlobalStrategy};
 use crate::index::SupporterIndex;
@@ -58,6 +58,16 @@ pub fn parse_algorithm(name: &str) -> Option<(LocalStrategy, GlobalStrategy)> {
         "rr" => Some((LocalStrategy::Random, GlobalStrategy::Random)),
         _ => None,
     }
+}
+
+/// A computation over the plain-pattern domain
+/// [`Sanitizer::with_plain_domain`] picks. A trait rather than a closure
+/// because the computation is generic over the domain type.
+pub(crate) trait PlainRun {
+    /// What the computation returns.
+    type Output;
+    /// Runs with `make` building one domain per worker.
+    fn run<D: PatternDomain<Seq = Sequence>>(self, make: &(dyn Fn() -> D + Sync)) -> Self::Output;
 }
 
 /// The configurable two-level sanitizer.
@@ -145,11 +155,12 @@ impl Sanitizer {
         self
     }
 
-    /// Selects the counting core for the marking loop. The default
-    /// [`EngineMode::Incremental`] reuses one [`MatchEngine`] per worker
-    /// thread across all of its victims; [`EngineMode::Scratch`] recomputes
-    /// `δ` from scratch per mark (the original path — same output, kept as
-    /// an escape hatch and for A/B benchmarking).
+    /// Selects the counting core for the plain-pattern marking loop. The
+    /// default [`EngineMode::Incremental`] reuses one [`MatchEngine`] per
+    /// worker thread across all of its victims; [`EngineMode::Scratch`]
+    /// recomputes `δ` from scratch per mark — same output, slower. No
+    /// production surface selects it: it is the oracle the engine-parity
+    /// tests and benches compare against.
     pub fn with_engine(mut self, engine: EngineMode) -> Self {
         self.engine = engine;
         self
@@ -173,16 +184,6 @@ impl Sanitizer {
     /// The RNG seed ([`Sanitizer::with_seed`]).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Whether exact [`BigCount`] arithmetic is selected.
-    pub fn exact_counts(&self) -> bool {
-        self.exact
-    }
-
-    /// The configured engine mode.
-    pub fn engine(&self) -> EngineMode {
-        self.engine
     }
 
     /// The configured thread count (0 = one per CPU).
@@ -211,19 +212,29 @@ impl Sanitizer {
     /// [`Sanitizer::run_domain_threaded`], the same generic driver every
     /// other pattern class uses.
     pub fn run(&self, db: &mut SequenceDb, sh: &SensitiveSet) -> SanitizeReport {
+        struct Run<'a>(&'a Sanitizer, &'a mut SequenceDb);
+        impl PlainRun for Run<'_> {
+            type Output = SanitizeReport;
+            fn run<D: PatternDomain<Seq = Sequence>>(
+                self,
+                make: &(dyn Fn() -> D + Sync),
+            ) -> SanitizeReport {
+                self.0.run_domain_threaded(self.1.sequences_mut(), make)
+            }
+        }
+        self.with_plain_domain(sh, Run(self, db))
+    }
+
+    /// The one place the plain-pattern domain is chosen: the configured
+    /// arithmetic ([`Sanitizer::with_exact_counts`]) crossed with the
+    /// configured counting core ([`Sanitizer::with_engine`]), handed to
+    /// `run` as a per-worker domain factory.
+    pub(crate) fn with_plain_domain<R: PlainRun>(&self, sh: &SensitiveSet, run: R) -> R::Output {
         match (self.exact, self.engine) {
-            (false, EngineMode::Incremental) => {
-                self.run_domain_threaded(db.sequences_mut(), &|| MatchEngine::<Sat64>::new(sh))
-            }
-            (true, EngineMode::Incremental) => {
-                self.run_domain_threaded(db.sequences_mut(), &|| MatchEngine::<BigCount>::new(sh))
-            }
-            (false, EngineMode::Scratch) => {
-                self.run_domain_threaded(db.sequences_mut(), &|| ScratchDomain::<Sat64>::new(sh))
-            }
-            (true, EngineMode::Scratch) => {
-                self.run_domain_threaded(db.sequences_mut(), &|| ScratchDomain::<BigCount>::new(sh))
-            }
+            (false, EngineMode::Incremental) => run.run(&|| MatchEngine::<Sat64>::new(sh)),
+            (true, EngineMode::Incremental) => run.run(&|| MatchEngine::<BigCount>::new(sh)),
+            (false, EngineMode::Scratch) => run.run(&|| ScratchDomain::<Sat64>::new(sh)),
+            (true, EngineMode::Scratch) => run.run(&|| ScratchDomain::<BigCount>::new(sh)),
         }
     }
 
@@ -397,33 +408,32 @@ impl Sanitizer {
         (marks, stats)
     }
 
-    /// [`Sanitizer::sanitize_victims_domain`] for the plain pattern
-    /// classes, dispatching the configured arithmetic and counting core
-    /// (the per-round workhorse of [`Sanitizer::run_multi`]).
+    /// [`Sanitizer::sanitize_victims_domain`] over the plain-pattern
+    /// domain the configuration picks (the per-round workhorse of
+    /// [`Sanitizer::run_multi`]).
     fn sanitize_victims(
         &self,
         db: &mut SequenceDb,
         sh: &SensitiveSet,
         victims: &[usize],
     ) -> (usize, EngineStats) {
-        match (self.exact, self.engine) {
-            (false, EngineMode::Incremental) => {
-                let make = || MatchEngine::<Sat64>::new(sh);
-                self.sanitize_victims_domain(db.sequences_mut(), victims, &mut make(), Some(&make))
-            }
-            (true, EngineMode::Incremental) => {
-                let make = || MatchEngine::<BigCount>::new(sh);
-                self.sanitize_victims_domain(db.sequences_mut(), victims, &mut make(), Some(&make))
-            }
-            (false, EngineMode::Scratch) => {
-                let make = || ScratchDomain::<Sat64>::new(sh);
-                self.sanitize_victims_domain(db.sequences_mut(), victims, &mut make(), Some(&make))
-            }
-            (true, EngineMode::Scratch) => {
-                let make = || ScratchDomain::<BigCount>::new(sh);
-                self.sanitize_victims_domain(db.sequences_mut(), victims, &mut make(), Some(&make))
+        struct Victims<'a>(&'a Sanitizer, &'a mut SequenceDb, &'a [usize]);
+        impl PlainRun for Victims<'_> {
+            type Output = (usize, EngineStats);
+            fn run<D: PatternDomain<Seq = Sequence>>(
+                self,
+                make: &(dyn Fn() -> D + Sync),
+            ) -> (usize, EngineStats) {
+                let Victims(sanitizer, db, victims) = self;
+                sanitizer.sanitize_victims_domain(
+                    db.sequences_mut(),
+                    victims,
+                    &mut make(),
+                    Some(make),
+                )
             }
         }
+        self.with_plain_domain(sh, Victims(self, db, victims))
     }
 
     /// Multiple per-pattern thresholds via the paper's trivial reduction:

@@ -23,8 +23,8 @@
 //! Both passes are generic over the pattern class: a [`PatternDomain`]
 //! supplies counting, marking, and verification; a [`StreamCodec`]
 //! supplies the line format. [`Sanitizer::run_streaming`] instantiates
-//! them for plain patterns; the CLI instantiates the same driver for
-//! itemset, timed, and regex databases.
+//! them for plain patterns; the hide pipeline in `seqhide-serve`'s `exec`
+//! module instantiates the same driver for every other pattern class.
 //!
 //! **Why the output is byte-identical to the in-memory path.** Every
 //! victim draws from an RNG derived from `(seed, selection ordinal)`
@@ -47,17 +47,15 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 use seqhide_data::stream::{PlainCodec, SeqReader, StreamCodec};
-use seqhide_match::{EngineStats, MatchEngine, PatternDomain, ScratchDomain, SensitiveSet};
-use seqhide_num::{BigCount, Sat64};
+use seqhide_match::{EngineStats, PatternDomain, SensitiveSet};
 use seqhide_obs::{self as obs, Gauge, Phase};
-use seqhide_types::Alphabet;
+use seqhide_types::{Alphabet, Sequence};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::index::SupporterIndex;
-use crate::local::EngineMode;
-use crate::sanitizer::{SanitizeReport, Sanitizer};
+use crate::sanitizer::{PlainRun, SanitizeReport, Sanitizer};
 use crate::verify::VerifyReport;
 
 /// Outcome of one streaming run: the same [`SanitizeReport`] the
@@ -131,40 +129,33 @@ impl Sanitizer {
         batch_size: usize,
         sink: &mut dyn Write,
     ) -> io::Result<StreamReport> {
-        match (self.exact_counts(), self.engine()) {
-            (false, EngineMode::Incremental) => self.run_streaming_domain_from(
-                open,
-                alphabet,
-                &PlainCodec,
-                &|| MatchEngine::<Sat64>::new(sh),
-                batch_size,
-                sink,
-            ),
-            (true, EngineMode::Incremental) => self.run_streaming_domain_from(
-                open,
-                alphabet,
-                &PlainCodec,
-                &|| MatchEngine::<BigCount>::new(sh),
-                batch_size,
-                sink,
-            ),
-            (false, EngineMode::Scratch) => self.run_streaming_domain_from(
-                open,
-                alphabet,
-                &PlainCodec,
-                &|| ScratchDomain::<Sat64>::new(sh),
-                batch_size,
-                sink,
-            ),
-            (true, EngineMode::Scratch) => self.run_streaming_domain_from(
-                open,
-                alphabet,
-                &PlainCodec,
-                &|| ScratchDomain::<BigCount>::new(sh),
-                batch_size,
-                sink,
-            ),
+        type Open<'a> = &'a dyn Fn() -> io::Result<Box<dyn BufRead>>;
+        struct Stream<'a>(
+            &'a Sanitizer,
+            Open<'a>,
+            &'a mut Alphabet,
+            usize,
+            &'a mut dyn Write,
+        );
+        impl PlainRun for Stream<'_> {
+            type Output = io::Result<StreamReport>;
+            fn run<D: PatternDomain<Seq = Sequence>>(
+                self,
+                make: &(dyn Fn() -> D + Sync),
+            ) -> io::Result<StreamReport> {
+                let Stream(sanitizer, open, alphabet, batch_size, sink) = self;
+                sanitizer.run_streaming_domain_from(
+                    open,
+                    alphabet,
+                    &PlainCodec,
+                    make,
+                    batch_size,
+                    sink,
+                )
+            }
         }
+        let stream = Stream(self, open, alphabet, batch_size, sink);
+        self.with_plain_domain(sh, stream)
     }
 
     /// The generic two-pass streaming driver: any [`PatternDomain`]

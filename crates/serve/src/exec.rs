@@ -1,32 +1,55 @@
-//! Request execution: the mapping from a decoded wire request to the
-//! workspace's sanitization machinery.
+//! The hide pipeline: one path from a [`HideSpec`] to a release, shared by
+//! `seqhide hide` (in memory, `--stream` and `--delta`) and by every
+//! `sanitize` and `delta` request `seqhide serve` executes.
 //!
-//! Every `sanitize` request is driven through **exactly the calls the
-//! CLI's `seqhide hide` makes** — same parse order (database first, then
-//! patterns, then regexes, so symbol interning matches), same
-//! [`Sanitizer`] configuration, same [`PatternDomain`] dispatch, same
-//! renderers — which is what makes a served release byte-identical to
-//! the CLI's for the same (input, pattern class, algorithm, ψ, seed).
-//! `tests/serve.rs` in the workspace root pins that equality across all
-//! four HH/HR/RH/RR strategies and all four pattern classes.
+//! Both surfaces reduce their input to a [`HideSpec`] — the CLI from its
+//! flags, the server in [`crate::protocol::decode`] — and
+//! [`HideSpec::validate`] refuses bad combinations for both, with one
+//! message. The pipeline owns everything between the spec and the
+//! released sequences: parsing the database in the spec's line format,
+//! compiling the patterns against its alphabet, building the
+//! [`PatternDomain`] and rendering the release. Three routes share that
+//! parse:
+//!
+//! * **in memory** — [`Loaded`]: parse, sanitize each pattern family
+//!   through [`Sanitizer`], render ([`sanitize`] serves requests with it);
+//! * **streamed** — [`hide_streamed`]: the two-pass bounded-memory driver
+//!   over any reader factory, a file for the CLI or a disk-backed
+//!   dataset's shard store for the server;
+//! * **delta** — [`DeltaSession`]: a persistent supporter index that
+//!   absorbs append/remove batches incrementally.
+//!
+//! A served release is byte-identical to `seqhide hide`'s for the same
+//! input and settings because both run this code. `tests/serve.rs` still
+//! pins that equality end to end, which covers the flag parsing, the wire
+//! decoding and the response framing around it.
 //!
 //! [`PatternDomain`]: seqhide_core::PatternDomain
 
 use std::fmt;
-use std::io::BufRead;
+use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
+use seqhide_core::post::{
+    delete_markers_safe_domain, delete_markers_safe_with, replace_markers, ReplaceReport,
+};
 use seqhide_core::timed::{TimeConstraints, TimeGap, TimedPattern};
 use seqhide_core::{
-    EngineMode, GlobalStrategy, LocalStrategy, SanitizeReport, Sanitizer, TimedDomain,
+    DeltaReport, DeltaState, GlobalStrategy, LocalStrategy, SanitizeReport, Sanitizer, SeqDelta,
+    StreamReport, SupporterIndex, TimedDomain,
 };
-use seqhide_data::stream::{SeqReader, ShardWriter};
+use seqhide_data::io::{parse_itemset_db, parse_itemset_line, parse_timed_db};
+use seqhide_data::stream::{
+    ItemsetCodec, PlainCodec, SeqReader, ShardWriter, StreamCodec, TimedCodec,
+};
 use seqhide_match::itemset::ItemsetPattern;
-use seqhide_match::{ConstraintSet, Gap, ItemsetMatchEngine, SensitivePattern, SensitiveSet};
-use seqhide_num::Sat64;
-use seqhide_re::{RegexDomain, RegexPattern};
+use seqhide_match::{
+    ConstraintSet, Gap, ItemsetMatchEngine, MatchEngine, SensitivePattern, SensitiveSet,
+};
+use seqhide_num::{BigCount, Count, Sat64};
+use seqhide_re::{sanitize_regex_db, RegexDomain, RegexPattern};
 use seqhide_string::{StringDomain, StringPattern};
-use seqhide_types::{Alphabet, OpKind, Sequence, SequenceDb};
+use seqhide_types::{Alphabet, ItemsetSequence, OpKind, Sequence, SequenceDb, TimedSequence};
 
 use crate::registry::DatasetSnapshot;
 
@@ -90,7 +113,7 @@ impl fmt::Debug for DbSource {
     }
 }
 
-/// Which line format (and pattern class) a request's `db` text uses.
+/// Which line format (and pattern class) a database uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Whitespace-separated symbols (`a b c`); plain and regex patterns.
@@ -100,8 +123,7 @@ pub enum Mode {
     /// `symbol@tick` events; gaps measured in elapsed ticks.
     Timed,
     /// Plain line format, but patterns are *contiguous substrings* and
-    /// the `op` field selects the edit family (the CLI's
-    /// `--domain string`).
+    /// `op` selects the edit family (the CLI's `--domain string`).
     String,
 }
 
@@ -121,13 +143,51 @@ impl Mode {
     }
 }
 
-/// One fully-decoded `sanitize` request.
+/// One family of sensitive patterns. A plain-mode run hides up to two,
+/// its `patterns` and then its `regexes`; every other mode hides one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// Plain subsequence patterns.
+    Plain,
+    /// Regex patterns over plain sequences.
+    Regex,
+    /// Itemset-sequence patterns.
+    Itemset,
+    /// Time-tagged patterns.
+    Timed,
+    /// Contiguous substrings.
+    String,
+}
+
+impl Family {
+    /// The report-line noun ("plain patterns: …").
+    pub fn noun(self) -> &'static str {
+        match self {
+            Family::Plain => "plain patterns",
+            Family::Regex => "regex patterns",
+            Family::Itemset => "itemset patterns",
+            Family::Timed => "timed patterns",
+            Family::String => "string patterns",
+        }
+    }
+
+    /// What one distortion is called in the report line.
+    pub fn unit(self) -> &'static str {
+        match self {
+            Family::Plain | Family::Regex => "marks",
+            Family::Itemset => "item marks",
+            Family::Timed => "event marks",
+            Family::String => "edits",
+        }
+    }
+}
+
+/// Everything that shapes one hide run except the database: what
+/// `seqhide hide`'s flags and a `sanitize`/`delta` request's fields both
+/// decode to.
 #[derive(Clone, Debug)]
-pub struct SanitizeSpec {
-    /// Database text (inline or a resolved dataset) in `mode`'s line
-    /// format.
-    pub db: DbSource,
-    /// The line format / pattern class.
+pub struct HideSpec {
+    /// The line format and pattern class.
     pub mode: Mode,
     /// Sensitive patterns, in `mode`'s pattern syntax.
     pub patterns: Vec<String>,
@@ -141,10 +201,7 @@ pub struct SanitizeSpec {
     pub global: GlobalStrategy,
     /// RNG seed for the random strategies.
     pub seed: u64,
-    /// Counting core for the marking loop.
-    pub engine: EngineMode,
-    /// Exact big-integer match counting (plain patterns only, as in the
-    /// CLI).
+    /// Exact big-integer counting for the plain `patterns` family.
     pub exact: bool,
     /// Minimum gap between consecutive pattern elements (ticks in timed
     /// mode, index distance otherwise).
@@ -153,9 +210,720 @@ pub struct SanitizeSpec {
     pub max_gap: Option<u64>,
     /// Maximum whole-match window, if constrained.
     pub max_window: Option<u64>,
-    /// Distortion operator family (the CLI's `--op`); every mode except
-    /// `string` is Δ-mark-only and rejects `delete`/`substitute`.
+    /// Distortion operator family; every mode except `string` is
+    /// Δ-mark-only.
     pub op: OpKind,
+    /// Threads marking victims (0 = one per CPU); never changes the
+    /// release.
+    pub threads: usize,
+}
+
+impl HideSpec {
+    /// A spec with the CLI's defaults: no patterns, HH, seed 0, Δ-marks,
+    /// no gap or window bounds, one thread.
+    pub fn new(mode: Mode, psi: usize) -> HideSpec {
+        HideSpec {
+            mode,
+            patterns: Vec::new(),
+            regexes: Vec::new(),
+            psi,
+            local: LocalStrategy::Heuristic,
+            global: GlobalStrategy::Heuristic,
+            seed: 0,
+            exact: false,
+            min_gap: 0,
+            max_gap: None,
+            max_window: None,
+            op: OpKind::Mark,
+            threads: 1,
+        }
+    }
+
+    /// The family the run leads with: a plain-mode run with only
+    /// `regexes` is a regex run.
+    pub fn family(&self) -> Family {
+        match self.mode {
+            Mode::Plain if self.patterns.is_empty() && !self.regexes.is_empty() => Family::Regex,
+            Mode::Plain => Family::Plain,
+            Mode::Itemset => Family::Itemset,
+            Mode::Timed => Family::Timed,
+            Mode::String => Family::String,
+        }
+    }
+
+    /// Refuses the settings no route can honour. Every route calls it
+    /// first, so the CLI and the wire refuse the same things with the
+    /// same message; where the two spell a knob differently, the message
+    /// names both.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.op != OpKind::Mark && self.mode != Mode::String {
+            return Err(format!(
+                "--op {}: {} are hidden by Δ-marks only; edit operations \
+                 (delete|substitute) need the substring domain — did you mean \
+                 --domain string? (wire: \"mode\":\"string\")",
+                self.op.name(),
+                self.family().noun()
+            ));
+        }
+        check_gap_order(self.min_gap, self.max_gap)?;
+        if !self.regexes.is_empty() && self.mode != Mode::Plain {
+            return Err(
+                "--regex applies to plain mode only (wire: \"regexes\" need \"mode\":\"plain\")"
+                    .to_string(),
+            );
+        }
+        if self.exact && self.family() != Family::Plain {
+            return Err(
+                "--exact counts plain --pattern families only; itemset, timed, string and \
+                 regex patterns always count in saturating 64-bit arithmetic \
+                 (wire: \"exact\" needs \"mode\":\"plain\" and \"patterns\")"
+                    .to_string(),
+            );
+        }
+        if self.patterns.is_empty() && self.regexes.is_empty() {
+            let syntax = match self.mode {
+                Mode::Plain => {
+                    return Err("nothing to hide: give --pattern and/or --regex \
+                                (wire: \"patterns\" and/or \"regexes\")"
+                        .to_string())
+                }
+                Mode::Itemset => "itemset syntax: a,b c",
+                Mode::Timed => "plain symbols; gaps in ticks",
+                Mode::String => "a contiguous substring",
+            };
+            return Err(format!(
+                "nothing to hide: give --pattern ({syntax}; wire: \"patterns\")"
+            ));
+        }
+        Ok(())
+    }
+
+    fn sanitizer(&self) -> Sanitizer {
+        Sanitizer::new(self.local, self.global, self.psi)
+            .with_seed(self.seed)
+            .with_exact_counts(self.exact)
+            .with_threads(self.threads)
+    }
+
+    /// The index-distance gap/window bounds of plain, itemset and regex
+    /// patterns.
+    fn constraints(&self) -> Result<ConstraintSet, String> {
+        gap_constraints(self.min_gap, self.max_gap, self.max_window)
+    }
+
+    fn sensitive_set(&self, alphabet: &mut Alphabet) -> Result<SensitiveSet, String> {
+        let cs = self.constraints()?;
+        let patterns = compile_each(&self.patterns, "pattern", |text| {
+            SensitivePattern::new(Sequence::parse(text, alphabet), cs.clone())
+        })?;
+        Ok(SensitiveSet::from_patterns(patterns))
+    }
+
+    fn regex_patterns(&self, alphabet: &mut Alphabet) -> Result<Vec<RegexPattern>, String> {
+        let cs = self.constraints()?;
+        compile_each(&self.regexes, "regex", |text| {
+            RegexPattern::compile(text, alphabet).map(|p| p.with_constraints(&cs))
+        })
+    }
+
+    /// Itemset patterns in the database's own line syntax (`a,b c`).
+    fn itemset_patterns(&self, alphabet: &mut Alphabet) -> Result<Vec<ItemsetPattern>, String> {
+        let cs = self.constraints()?;
+        compile_each(&self.patterns, "pattern", |text| {
+            ItemsetPattern::new(parse_itemset_line(text, alphabet), cs.clone())
+        })
+    }
+
+    /// Timed patterns: plain symbols, with the gap/window bounds read as
+    /// elapsed ticks.
+    fn timed_patterns(&self, alphabet: &mut Alphabet) -> Result<Vec<TimedPattern>, String> {
+        let mut tc = if self.min_gap == 0 && self.max_gap.is_none() {
+            TimeConstraints::none()
+        } else {
+            TimeConstraints::uniform_gap(TimeGap {
+                min: self.min_gap,
+                max: self.max_gap,
+            })
+        };
+        tc.max_window = self.max_window;
+        compile_each(&self.patterns, "pattern", |text| {
+            TimedPattern::new(Sequence::parse(text, alphabet), tc.clone())
+        })
+    }
+
+    fn string_patterns(&self, alphabet: &mut Alphabet) -> Result<Vec<StringPattern>, String> {
+        compile_each(&self.patterns, "pattern", |text| {
+            StringPattern::new(Sequence::parse(text, alphabet))
+        })
+    }
+}
+
+/// Compiles each pattern text, naming the first that fails.
+fn compile_each<P, E: fmt::Display>(
+    texts: &[String],
+    what: &str,
+    mut compile: impl FnMut(&str) -> Result<P, E>,
+) -> Result<Vec<P>, String> {
+    texts
+        .iter()
+        .map(|text| compile(text).map_err(|e| format!("{what} '{text}': {e}")))
+        .collect()
+}
+
+/// The one check on gap order, for hide runs, `verify` and the miner.
+fn check_gap_order(min_gap: u64, max_gap: Option<u64>) -> Result<(), String> {
+    match max_gap {
+        Some(max) if max < min_gap => {
+            Err("--max-gap must be ≥ --min-gap (wire: max_gap must be ≥ min_gap)".to_string())
+        }
+        _ => Ok(()),
+    }
+}
+
+/// The uniform index-distance constraints every pattern of a run shares,
+/// refusing a maximum gap below the minimum.
+pub fn gap_constraints(
+    min_gap: u64,
+    max_gap: Option<u64>,
+    max_window: Option<u64>,
+) -> Result<ConstraintSet, String> {
+    check_gap_order(min_gap, max_gap)?;
+    let mut cs = if min_gap == 0 && max_gap.is_none() {
+        ConstraintSet::none()
+    } else {
+        ConstraintSet::uniform_gap(Gap {
+            min: min_gap as usize,
+            max: max_gap.map(|g| g as usize),
+        })
+    };
+    cs.max_window = max_window.map(|w| w as usize);
+    Ok(cs)
+}
+
+/// Renders sequences in `codec`'s line format.
+fn render<K: StreamCodec>(codec: &K, alphabet: &Alphabet, seqs: &[K::Seq]) -> String {
+    let mut out = Vec::new();
+    for t in seqs {
+        codec
+            .write_line(alphabet, t, &mut out)
+            .expect("write to Vec cannot fail");
+    }
+    String::from_utf8(out).expect("symbol names are valid UTF-8")
+}
+
+fn check_hidden(family: Family, report: &SanitizeReport) -> Result<(), String> {
+    report
+        .hidden
+        .then_some(())
+        .ok_or_else(|| format!("internal: sanitizer failed to hide {}", family.noun()))
+}
+
+/// A database parsed for one [`HideSpec`], with the spec's patterns
+/// compiled against its alphabet: the in-memory route between parse and
+/// render. The database's symbols are interned before the patterns', the
+/// order the substitution family and the itemset level-2 choice depend
+/// on.
+pub struct Loaded(Parsed);
+
+/// One mode's parsed database and compiled patterns: plain and string
+/// modes keep a [`SequenceDb`] (plain: the `patterns` family, then the
+/// `regexes`); itemset and timed keep alphabet, sequences, patterns.
+enum Parsed {
+    Plain(SequenceDb, SensitiveSet, Vec<RegexPattern>),
+    String(SequenceDb, Vec<StringPattern>),
+    Itemset(Alphabet, Vec<ItemsetSequence>, Vec<ItemsetPattern>),
+    Timed(Alphabet, Vec<TimedSequence>, Vec<TimedPattern>),
+}
+
+impl Loaded {
+    /// Validates `spec`, parses `text` in its line format and compiles
+    /// its patterns. Nothing borrows `text` afterwards, so a caller that
+    /// owns it can free it before sanitizing.
+    pub fn parse(spec: &HideSpec, text: &str) -> Result<Loaded, String> {
+        spec.validate()?;
+        let parsed = match spec.mode {
+            Mode::Plain => {
+                let mut db = SequenceDb::parse(text);
+                let sh = spec.sensitive_set(db.alphabet_mut())?;
+                let regexes = spec.regex_patterns(db.alphabet_mut())?;
+                Parsed::Plain(db, sh, regexes)
+            }
+            Mode::String => {
+                let mut db = SequenceDb::parse(text);
+                let patterns = spec.string_patterns(db.alphabet_mut())?;
+                Parsed::String(db, patterns)
+            }
+            Mode::Itemset => {
+                let (mut alphabet, db) = parse_itemset_db(text);
+                let patterns = spec.itemset_patterns(&mut alphabet)?;
+                Parsed::Itemset(alphabet, db, patterns)
+            }
+            Mode::Timed => {
+                let (mut alphabet, db) = parse_timed_db(text).map_err(|e| e.to_string())?;
+                let patterns = spec.timed_patterns(&mut alphabet)?;
+                Parsed::Timed(alphabet, db, patterns)
+            }
+        };
+        Ok(Loaded(parsed))
+    }
+
+    /// Sanitizes the database in place against each pattern family, in
+    /// order (plain `patterns` before `regexes`), one report per family.
+    pub fn sanitize(&mut self, spec: &HideSpec) -> Result<Vec<(Family, SanitizeReport)>, String> {
+        let sanitizer = spec.sanitizer();
+        let reports = match &mut self.0 {
+            Parsed::Plain(db, sh, regexes) => {
+                let mut reports = Vec::new();
+                if !sh.is_empty() {
+                    reports.push((Family::Plain, sanitizer.run(db, sh)));
+                }
+                if !regexes.is_empty() {
+                    let regexes: &[RegexPattern] = regexes;
+                    let report = sanitizer.run_domain_threaded(db.sequences_mut(), &|| {
+                        RegexDomain::<Sat64>::new(regexes)
+                    });
+                    reports.push((Family::Regex, report));
+                }
+                reports
+            }
+            Parsed::String(db, patterns) => {
+                let (patterns, sigma_len) = (&*patterns, db.alphabet().len());
+                let report = sanitizer.run_domain_threaded(db.sequences_mut(), &|| {
+                    StringDomain::<Sat64>::new(patterns, sigma_len).with_op(spec.op)
+                });
+                vec![(Family::String, report)]
+            }
+            Parsed::Itemset(_, db, patterns) => {
+                let patterns: &[ItemsetPattern] = patterns;
+                let report = sanitizer
+                    .run_domain_threaded(db, &|| ItemsetMatchEngine::<Sat64>::new(patterns));
+                vec![(Family::Itemset, report)]
+            }
+            Parsed::Timed(_, db, patterns) => {
+                let patterns: &[TimedPattern] = patterns;
+                let report =
+                    sanitizer.run_domain_threaded(db, &|| TimedDomain::<Sat64>::new(patterns));
+                vec![(Family::Timed, report)]
+            }
+        };
+        for (family, report) in &reports {
+            check_hidden(*family, report)?;
+        }
+        Ok(reports)
+    }
+
+    /// Deletes the released Δ marks (`seqhide hide --post delete`),
+    /// re-verifying every family after each deletion sweep and
+    /// re-sanitizing what index shifts resurrected; returns the rounds.
+    pub fn delete_marks(&mut self, spec: &HideSpec) -> Result<usize, String> {
+        let psi = spec.psi;
+        let resanitize = Sanitizer::new(spec.local, spec.global, psi);
+        let rounds = match &mut self.0 {
+            Parsed::Plain(db, sh, regexes) => {
+                // Deletion shrinks gaps for every constrained matcher, so
+                // the hook re-verifies (and re-sanitizes) the regexes too.
+                let (released, report) =
+                    delete_markers_safe_with(db, sh, psi, &resanitize, |cur| {
+                        if regexes.is_empty() {
+                            0
+                        } else {
+                            sanitize_regex_db(cur, regexes, psi, spec.local, spec.seed)
+                                .marks_introduced
+                        }
+                    });
+                *db = released;
+                report.rounds
+            }
+            Parsed::Itemset(_, db, patterns) => {
+                // Dropping emptied elements shifts positions, so
+                // gap-constrained itemset occurrences can resurrect.
+                delete_markers_safe_domain(
+                    db,
+                    &mut ItemsetMatchEngine::<Sat64>::new(patterns),
+                    psi,
+                    &resanitize,
+                    ItemsetSequence::delete_marked,
+                )
+                .rounds
+            }
+            Parsed::Timed(_, db, patterns) => {
+                delete_markers_safe_domain(
+                    db,
+                    &mut TimedDomain::<Sat64>::new(patterns),
+                    psi,
+                    &resanitize,
+                    TimedSequence::delete_marked,
+                )
+                .rounds
+            }
+            Parsed::String(..) => return Err(STRING_POST.to_string()),
+        };
+        Ok(rounds)
+    }
+
+    /// Replaces the released Δ marks with alphabet symbols that create no
+    /// sensitive occurrence (`seqhide hide --post replace`; plain mode
+    /// only).
+    pub fn replace_marks(&mut self, spec: &HideSpec) -> Result<ReplaceReport, String> {
+        match &mut self.0 {
+            Parsed::Plain(db, sh, _) => Ok(replace_markers(db, sh, spec.seed)),
+            Parsed::String(..) => Err(STRING_POST.to_string()),
+            Parsed::Itemset(..) | Parsed::Timed(..) => Err(
+                "--post replace writes plain alphabet symbols; it applies to plain-mode runs only"
+                    .to_string(),
+            ),
+        }
+    }
+
+    /// The database rendered in its input line format.
+    pub fn render(&self) -> String {
+        match &self.0 {
+            Parsed::Plain(db, ..) | Parsed::String(db, _) => db.to_text(),
+            Parsed::Itemset(alphabet, db, _) => render(&ItemsetCodec, alphabet, db),
+            Parsed::Timed(alphabet, db, _) => render(&TimedCodec, alphabet, db),
+        }
+    }
+
+    /// The database's current shape (after [`Loaded::sanitize`]: the
+    /// release's).
+    pub fn stats(&self) -> StatsOutcome {
+        match &self.0 {
+            Parsed::Plain(db, ..) | Parsed::String(db, _) => plain_stats(db),
+            Parsed::Itemset(alphabet, db, _) => itemset_stats(alphabet, db),
+            Parsed::Timed(alphabet, db, _) => timed_stats(alphabet, db),
+        }
+    }
+}
+
+const STRING_POST: &str = "--domain string edits during sanitization (--op delete|substitute); \
+                           --post delete/replace apply to Δ-marked plain-mode releases";
+
+/// Pre-interns every symbol of the source in file order, so a streamed
+/// run's symbol ids match the in-memory run's (database before patterns).
+/// One extra sequential pass, O(1) resident memory.
+fn intern_all<K: StreamCodec>(
+    open: &dyn Fn() -> io::Result<Box<dyn BufRead>>,
+    codec: &K,
+    alphabet: &mut Alphabet,
+) -> io::Result<()> {
+    let mut reader = SeqReader::new(open()?);
+    while reader.next_record(codec, alphabet)?.is_some() {}
+    Ok(())
+}
+
+/// The streamed route: hides the spec's one pattern family in a database
+/// read twice through `open` (each call must reopen the same bytes),
+/// writing the release to `sink` batch by batch. At most `batch_size`
+/// sequences are resident, and the release is byte-identical to the
+/// in-memory route's. `source` names the input in I/O errors.
+pub fn hide_streamed(
+    spec: &HideSpec,
+    open: &dyn Fn() -> io::Result<Box<dyn BufRead>>,
+    batch_size: usize,
+    sink: &mut dyn Write,
+    source: &str,
+) -> Result<StreamReport, String> {
+    spec.validate()?;
+    if !spec.patterns.is_empty() && !spec.regexes.is_empty() {
+        return Err(
+            "--stream hides one pattern class per run: give --pattern or --regex, not both \
+             (wire: a disk-streamed dataset takes \"patterns\" or \"regexes\", not both)"
+                .to_string(),
+        );
+    }
+    let io_error = |e: io::Error| format!("{source}: {e}");
+    let sanitizer = spec.sanitizer();
+    let mut alphabet = Alphabet::new();
+    let report = match spec.family() {
+        Family::Plain => {
+            let sh = spec.sensitive_set(&mut alphabet)?;
+            sanitizer.run_streaming_from(open, &mut alphabet, &sh, batch_size, sink)
+        }
+        Family::Regex => {
+            let regexes = spec.regex_patterns(&mut alphabet)?;
+            sanitizer.run_streaming_domain_from(
+                open,
+                &mut alphabet,
+                &PlainCodec,
+                &|| RegexDomain::<Sat64>::new(&regexes),
+                batch_size,
+                sink,
+            )
+        }
+        Family::Itemset => {
+            intern_all(open, &ItemsetCodec, &mut alphabet).map_err(io_error)?;
+            let patterns = spec.itemset_patterns(&mut alphabet)?;
+            sanitizer.run_streaming_domain_from(
+                open,
+                &mut alphabet,
+                &ItemsetCodec,
+                &|| ItemsetMatchEngine::<Sat64>::new(&patterns),
+                batch_size,
+                sink,
+            )
+        }
+        Family::Timed => {
+            let patterns = spec.timed_patterns(&mut alphabet)?;
+            sanitizer.run_streaming_domain_from(
+                open,
+                &mut alphabet,
+                &TimedCodec,
+                &|| TimedDomain::<Sat64>::new(&patterns),
+                batch_size,
+                sink,
+            )
+        }
+        Family::String => {
+            intern_all(open, &PlainCodec, &mut alphabet).map_err(io_error)?;
+            let patterns = spec.string_patterns(&mut alphabet)?;
+            let sigma_len = alphabet.len();
+            sanitizer.run_streaming_domain_from(
+                open,
+                &mut alphabet,
+                &PlainCodec,
+                &|| StringDomain::<Sat64>::new(&patterns, sigma_len).with_op(spec.op),
+                batch_size,
+                sink,
+            )
+        }
+    }
+    .map_err(io_error)?;
+    check_hidden(spec.family(), &report.report)?;
+    Ok(report)
+}
+
+/// A persisted supporter index and residual tally a plain session can
+/// warm-start from instead of re-scanning (see [`DeltaSession::build`]).
+pub type WarmIndex = (SupporterIndex<Sat64>, Vec<usize>);
+
+/// The delta route: one database's incremental sanitization state. It
+/// owns the session's alphabet and compiled patterns, so added lines are
+/// interned after the patterns, and the release after every batch equals
+/// a fresh in-memory run over the mutated database (pinned by
+/// `tests/delta.rs`).
+pub struct DeltaSession {
+    alphabet: Alphabet,
+    state: SessionState,
+}
+
+enum SessionState {
+    Plain(SensitiveSet, DeltaState<Sequence, Sat64>),
+    PlainExact(SensitiveSet, DeltaState<Sequence, BigCount>),
+    Itemset(Vec<ItemsetPattern>, DeltaState<ItemsetSequence, Sat64>),
+    Timed(Vec<TimedPattern>, DeltaState<TimedSequence, Sat64>),
+    String {
+        patterns: Vec<StringPattern>,
+        sigma_len: usize,
+        op: OpKind,
+        state: DeltaState<Sequence, Sat64>,
+    },
+}
+
+fn build_plain<C: Count>(
+    config: &Sanitizer,
+    sh: &SensitiveSet,
+    originals: Vec<Sequence>,
+    warm: Option<(SupporterIndex<C>, Vec<usize>)>,
+) -> DeltaState<Sequence, C> {
+    let mut engine = MatchEngine::<C>::new(sh);
+    match warm {
+        Some((index, residual)) => {
+            DeltaState::from_index(config, &mut engine, originals, index, Some(residual))
+        }
+        None => DeltaState::build(config, &mut engine, originals),
+    }
+}
+
+fn apply_plain<C: Count>(
+    state: &mut DeltaState<Sequence, C>,
+    sh: &SensitiveSet,
+    added: Vec<Sequence>,
+    removed: Vec<usize>,
+) -> Result<DeltaReport, String> {
+    state.apply_delta(&mut MatchEngine::<C>::new(sh), SeqDelta { added, removed })
+}
+
+/// Parses added lines in `codec`'s line format.
+fn parse_added<K: StreamCodec>(
+    codec: &K,
+    added: &[(usize, &str)],
+    alphabet: &mut Alphabet,
+) -> Result<Vec<K::Seq>, String> {
+    added
+        .iter()
+        .map(|&(lineno, line)| {
+            codec
+                .parse_line(lineno, line, alphabet)
+                .map_err(|e| format!("added {e}"))
+        })
+        .collect()
+}
+
+/// The originals or the release of a session state.
+fn side<S: Clone, C: Count>(state: &DeltaState<S, C>, released: bool) -> &[S] {
+    if released {
+        state.released()
+    } else {
+        state.originals()
+    }
+}
+
+impl DeltaSession {
+    /// Refuses what an incremental session cannot replay, on top of
+    /// [`HideSpec::validate`].
+    pub(crate) fn check(spec: &HideSpec) -> Result<(), String> {
+        spec.validate()?;
+        if spec.op == OpKind::Substitute {
+            return Err(
+                "--delta cannot replay --op substitute: replacement symbols depend on \
+                 alphabet interning order, which differs once added lines are interned \
+                 after the patterns — use --op mark or --op delete \
+                 (wire: \"op\":\"mark\" or \"op\":\"delete\")"
+                    .to_string(),
+            );
+        }
+        if !spec.regexes.is_empty() {
+            return Err(
+                "--delta maintains a per-pattern supporter index; --regex patterns \
+                        are not supported — give --pattern"
+                    .to_string(),
+            );
+        }
+        Ok(())
+    }
+
+    /// Parses `text` as the in-memory route does and sanitizes it once:
+    /// the cold path. A plain session without exact counting first asks
+    /// `warm` (given the database's length) for a persisted index to
+    /// start from instead of scanning.
+    pub fn build(
+        spec: &HideSpec,
+        text: &str,
+        warm: impl FnOnce(usize) -> Option<WarmIndex>,
+    ) -> Result<DeltaSession, String> {
+        Self::check(spec)?;
+        let config = spec.sanitizer();
+        let (alphabet, state) = match Loaded::parse(spec, text)?.0 {
+            Parsed::Plain(db, sh, _) => {
+                let (alphabet, originals) = db.into_parts();
+                let state = if spec.exact {
+                    let state = build_plain(&config, &sh, originals, None);
+                    SessionState::PlainExact(sh, state)
+                } else {
+                    let warm = warm(originals.len());
+                    let state = build_plain(&config, &sh, originals, warm);
+                    SessionState::Plain(sh, state)
+                };
+                (alphabet, state)
+            }
+            Parsed::String(db, patterns) => {
+                let (alphabet, originals) = db.into_parts();
+                let (sigma_len, op) = (alphabet.len(), spec.op);
+                let domain = &mut StringDomain::<Sat64>::new(&patterns, sigma_len).with_op(op);
+                let state = DeltaState::build(&config, domain, originals);
+                let state = SessionState::String {
+                    patterns,
+                    sigma_len,
+                    op,
+                    state,
+                };
+                (alphabet, state)
+            }
+            Parsed::Itemset(alphabet, db, patterns) => {
+                let domain = &mut ItemsetMatchEngine::<Sat64>::new(&patterns);
+                let state = DeltaState::build(&config, domain, db);
+                (alphabet, SessionState::Itemset(patterns, state))
+            }
+            Parsed::Timed(alphabet, db, patterns) => {
+                let state =
+                    DeltaState::build(&config, &mut TimedDomain::<Sat64>::new(&patterns), db);
+                (alphabet, SessionState::Timed(patterns, state))
+            }
+        };
+        Ok(DeltaSession { alphabet, state })
+    }
+
+    /// Applies one batch: `added` lines in the session's line format
+    /// (each with the line number its parse errors cite) are appended,
+    /// `removed` 0-based ordinals retired. A refused batch leaves the
+    /// session untouched.
+    pub fn apply(
+        &mut self,
+        added: &[(usize, &str)],
+        removed: Vec<usize>,
+    ) -> Result<DeltaReport, String> {
+        let alphabet = &mut self.alphabet;
+        match &mut self.state {
+            SessionState::Plain(sh, state) => apply_plain(
+                state,
+                sh,
+                parse_added(&PlainCodec, added, alphabet)?,
+                removed,
+            ),
+            SessionState::PlainExact(sh, state) => apply_plain(
+                state,
+                sh,
+                parse_added(&PlainCodec, added, alphabet)?,
+                removed,
+            ),
+            SessionState::String {
+                patterns,
+                sigma_len,
+                op,
+                state,
+            } => {
+                let added = parse_added(&PlainCodec, added, alphabet)?;
+                let domain = &mut StringDomain::<Sat64>::new(patterns, *sigma_len).with_op(*op);
+                state.apply_delta(domain, SeqDelta { added, removed })
+            }
+            SessionState::Itemset(patterns, state) => {
+                let added = parse_added(&ItemsetCodec, added, alphabet)?;
+                let domain = &mut ItemsetMatchEngine::<Sat64>::new(patterns);
+                state.apply_delta(domain, SeqDelta { added, removed })
+            }
+            SessionState::Timed(patterns, state) => {
+                let added = parse_added(&TimedCodec, added, alphabet)?;
+                let domain = &mut TimedDomain::<Sat64>::new(patterns);
+                state.apply_delta(domain, SeqDelta { added, removed })
+            }
+        }
+    }
+
+    /// The mutated database (the originals), in its input line format.
+    pub(crate) fn render_originals(&self) -> String {
+        self.render(false)
+    }
+
+    /// The current release, in the input line format.
+    pub fn render_release(&self) -> String {
+        self.render(true)
+    }
+
+    fn render(&self, released: bool) -> String {
+        let alphabet = &self.alphabet;
+        match &self.state {
+            SessionState::Plain(_, state) | SessionState::String { state, .. } => {
+                render(&PlainCodec, alphabet, side(state, released))
+            }
+            SessionState::PlainExact(_, state) => {
+                render(&PlainCodec, alphabet, side(state, released))
+            }
+            SessionState::Itemset(_, state) => {
+                render(&ItemsetCodec, alphabet, side(state, released))
+            }
+            SessionState::Timed(_, state) => render(&TimedCodec, alphabet, side(state, released)),
+        }
+    }
+
+    /// The state of a plain session without exact counting, whose
+    /// supporter index can be persisted and warm-started from
+    /// ([`WarmIndex`]); `None` for every other session.
+    pub(crate) fn plain_state(&self) -> Option<&DeltaState<Sequence, Sat64>> {
+        match &self.state {
+            SessionState::Plain(_, state) => Some(state),
+            _ => None,
+        }
+    }
 }
 
 /// The executed `sanitize` outcome. When a plain-mode request carries
@@ -179,314 +947,91 @@ pub struct SanitizeOutcome {
     pub hidden: bool,
 }
 
-impl SanitizeSpec {
-    fn sanitizer(&self, exact: bool) -> Sanitizer {
-        Sanitizer::new(self.local, self.global, self.psi)
-            .with_seed(self.seed)
-            .with_exact_counts(exact)
-            .with_engine(self.engine)
-            .with_threads(1)
-    }
-
-    fn constraints(&self) -> Result<ConstraintSet, String> {
-        let min = self.min_gap as usize;
-        let max = self.max_gap.map(|g| g as usize);
-        if let Some(max) = max {
-            if max < (self.min_gap as usize) {
-                return Err("max_gap must be ≥ min_gap".to_string());
-            }
-        }
-        let mut cs = if min == 0 && max.is_none() {
-            ConstraintSet::none()
-        } else {
-            ConstraintSet::uniform_gap(Gap { min, max })
+impl SanitizeOutcome {
+    fn new<'a>(release: String, reports: impl IntoIterator<Item = &'a SanitizeReport>) -> Self {
+        let mut outcome = SanitizeOutcome {
+            release,
+            marks: 0,
+            sequences_sanitized: 0,
+            supporters_before: 0,
+            residual_supports: Vec::new(),
+            hidden: true,
         };
-        cs.max_window = self.max_window.map(|w| w as usize);
-        Ok(cs)
-    }
-
-    fn time_constraints(&self) -> Result<TimeConstraints, String> {
-        if let Some(max) = self.max_gap {
-            if max < self.min_gap {
-                return Err("max_gap must be ≥ min_gap".to_string());
-            }
+        for report in reports {
+            outcome.marks += report.marks_introduced;
+            outcome.sequences_sanitized += report.sequences_sanitized;
+            outcome.supporters_before += report.supporters_before;
+            outcome
+                .residual_supports
+                .extend_from_slice(&report.residual_supports);
+            outcome.hidden &= report.hidden;
         }
-        let mut tc = TimeConstraints::none();
-        if self.min_gap > 0 || self.max_gap.is_some() {
-            tc = TimeConstraints::uniform_gap(TimeGap {
-                min: self.min_gap,
-                max: self.max_gap,
-            });
-        }
-        tc.max_window = self.max_window;
-        Ok(tc)
+        outcome
     }
 }
 
-fn accumulate(outcome: &mut SanitizeOutcome, report: &SanitizeReport) {
-    outcome.marks += report.marks_introduced;
-    outcome.sequences_sanitized += report.sequences_sanitized;
-    outcome.supporters_before += report.supporters_before;
-    outcome
-        .residual_supports
-        .extend_from_slice(&report.residual_supports);
-    outcome.hidden &= report.hidden;
+/// One fully-decoded `sanitize` request: a database and the spec to hide
+/// in it.
+#[derive(Clone, Debug)]
+pub struct SanitizeSpec {
+    /// Database text (inline or a resolved dataset) in the spec's line
+    /// format.
+    pub db: DbSource,
+    /// The hide settings.
+    pub hide: HideSpec,
 }
 
-/// Executes one `sanitize` request.
+impl std::ops::Deref for SanitizeSpec {
+    type Target = HideSpec;
+
+    fn deref(&self) -> &HideSpec {
+        &self.hide
+    }
+}
+
+/// Executes one `sanitize` request: the streamed route for datasets
+/// served from disk, the in-memory route otherwise.
 pub fn sanitize(spec: &SanitizeSpec) -> Result<SanitizeOutcome, String> {
-    if spec.op != OpKind::Mark && spec.mode != Mode::String {
-        return Err(format!(
-            "op '{}': this mode is hidden by Δ-marks only; edit operations \
-             (delete|substitute) need \"mode\":\"string\"",
-            spec.op.name()
-        ));
-    }
     if let DbSource::Dataset(snapshot) = &spec.db {
         if snapshot.streams_from_disk() {
-            return match spec.mode {
-                Mode::Plain => sanitize_plain_streamed(spec, snapshot),
-                _ => Err(format!(
-                    "dataset '{}' is over the resident cap and served from disk; \
-                     only plain-mode sanitize can stream it",
-                    snapshot.name()
-                )),
-            };
+            return sanitize_streamed(spec, snapshot);
         }
     }
-    match spec.mode {
-        Mode::Plain => sanitize_plain(spec),
-        Mode::Itemset | Mode::Timed | Mode::String if !spec.regexes.is_empty() => {
-            Err("regexes apply to plain mode only".to_string())
-        }
-        Mode::Itemset => sanitize_itemset(spec),
-        Mode::Timed => sanitize_timed(spec),
-        Mode::String => sanitize_string(spec),
-    }
+    let text = spec.db.text()?;
+    let mut loaded = Loaded::parse(spec, &text)?;
+    let reports = loaded.sanitize(spec)?;
+    Ok(SanitizeOutcome::new(
+        loaded.render(),
+        reports.iter().map(|(_, report)| report),
+    ))
 }
 
-/// Plain-mode sanitize over a disk-backed dataset too large to
-/// materialize: the two-pass streaming driver reads the shard store
-/// twice (one decompressed shard resident at a time) and the output
-/// spills through a [`ShardWriter`], so peak memory is bounded by the
-/// batch size + spill limit, not `|D|`. Output is byte-identical to
-/// the in-memory path on the same text (the core streaming parity
-/// invariant).
-fn sanitize_plain_streamed(
+/// A dataset over the resident cap, sanitized through the streamed route:
+/// the shard store is read twice (one decompressed shard resident at a
+/// time) and the output spills through a [`ShardWriter`], so peak memory
+/// is bounded by the batch size and spill limit, not `|D|`.
+fn sanitize_streamed(
     spec: &SanitizeSpec,
     snapshot: &DatasetSnapshot,
 ) -> Result<SanitizeOutcome, String> {
-    if !spec.regexes.is_empty() {
-        return Err(format!(
-            "dataset '{}' is over the resident cap and served from disk; regexes \
-             are not supported on disk-streamed datasets",
-            snapshot.name()
-        ));
-    }
-    let cs = spec.constraints()?;
-    let mut alphabet = Alphabet::new();
-    let mut patterns = Vec::new();
-    for text in &spec.patterns {
-        let seq = Sequence::parse(text, &mut alphabet);
-        patterns.push(
-            SensitivePattern::new(seq, cs.clone()).map_err(|e| format!("pattern '{text}': {e}"))?,
-        );
-    }
-    let sh = SensitiveSet::from_patterns(patterns);
-    if sh.is_empty() {
-        return Err("nothing to hide: give patterns and/or regexes".to_string());
-    }
+    let source = format!("dataset '{}'", snapshot.name());
     let open = || {
         snapshot
             .open_reader()
             .map(|reader| reader as Box<dyn BufRead>)
     };
     let mut out = ShardWriter::new(std::env::temp_dir(), STREAM_SPILL_BYTES);
-    let report = spec
-        .sanitizer(spec.exact)
-        .run_streaming_from(&open, &mut alphabet, &sh, STREAM_BATCH_SEQS, &mut out)
-        .map_err(|e| format!("dataset '{}': {e}", snapshot.name()))?;
-    if !report.report.hidden {
-        return Err("internal: sanitizer failed to hide plain patterns".to_string());
-    }
-    let mut outcome = empty_outcome();
-    accumulate(&mut outcome, &report.report);
-    outcome.release = out
+    let report = hide_streamed(spec, &open, STREAM_BATCH_SEQS, &mut out, &source)?;
+    let release = out
         .finish_to_string()
-        .map_err(|e| format!("dataset '{}': {e}", snapshot.name()))?;
-    Ok(outcome)
+        .map_err(|e| format!("{source}: {e}"))?;
+    Ok(SanitizeOutcome::new(release, [&report.report]))
 }
 
-/// Plain mode: plain `S_h` and/or regex patterns, mirroring the CLI's
-/// `hide_plain` (plain family first, then the regex sweep, over the same
-/// database value).
-fn sanitize_plain(spec: &SanitizeSpec) -> Result<SanitizeOutcome, String> {
-    let text = spec.db.text()?;
-    let mut db = SequenceDb::parse(&text);
-    let cs = spec.constraints()?;
-    let mut patterns = Vec::new();
-    for text in &spec.patterns {
-        let seq = Sequence::parse(text, db.alphabet_mut());
-        patterns.push(
-            SensitivePattern::new(seq, cs.clone()).map_err(|e| format!("pattern '{text}': {e}"))?,
-        );
-    }
-    let sh = SensitiveSet::from_patterns(patterns);
-    let mut regexes = Vec::new();
-    for text in &spec.regexes {
-        regexes.push(
-            RegexPattern::compile(text, db.alphabet_mut())
-                .map(|p| p.with_constraints(&cs))
-                .map_err(|e| format!("regex '{text}': {e}"))?,
-        );
-    }
-    if sh.is_empty() && regexes.is_empty() {
-        return Err("nothing to hide: give patterns and/or regexes".to_string());
-    }
-    let mut outcome = empty_outcome();
-    if !sh.is_empty() {
-        let report = spec.sanitizer(spec.exact).run(&mut db, &sh);
-        accumulate(&mut outcome, &report);
-        if !report.hidden {
-            return Err("internal: sanitizer failed to hide plain patterns".to_string());
-        }
-    }
-    if !regexes.is_empty() {
-        let report = spec
-            .sanitizer(false)
-            .run_domain_threaded(db.sequences_mut(), &|| RegexDomain::<Sat64>::new(&regexes));
-        accumulate(&mut outcome, &report);
-        if !report.hidden {
-            return Err("internal: sanitizer failed to hide regex patterns".to_string());
-        }
-    }
-    outcome.release = db.to_text();
-    Ok(outcome)
-}
-
-fn sanitize_itemset(spec: &SanitizeSpec) -> Result<SanitizeOutcome, String> {
-    let text = spec.db.text()?;
-    let (mut alphabet, mut db) = seqhide_data::io::parse_itemset_db(&text);
-    let cs = spec.constraints()?;
-    let mut patterns = Vec::new();
-    for text in &spec.patterns {
-        let elements: Vec<seqhide_types::Itemset> = text
-            .split_whitespace()
-            .map(|elem| {
-                seqhide_types::Itemset::new(
-                    elem.split(',')
-                        .filter(|w| !w.is_empty())
-                        .map(|w| alphabet.intern(w))
-                        .collect(),
-                )
-            })
-            .collect();
-        let seq = seqhide_types::ItemsetSequence::new(elements);
-        patterns.push(
-            ItemsetPattern::new(seq, cs.clone()).map_err(|e| format!("pattern '{text}': {e}"))?,
-        );
-    }
-    if patterns.is_empty() {
-        return Err("nothing to hide: give patterns (itemset syntax: a,b c)".to_string());
-    }
-    let report = spec
-        .sanitizer(false)
-        .run_domain_threaded(&mut db, &|| ItemsetMatchEngine::<Sat64>::new(&patterns));
-    if !report.hidden {
-        return Err("internal: sanitizer failed to hide itemset patterns".to_string());
-    }
-    let mut outcome = empty_outcome();
-    accumulate(&mut outcome, &report);
-    outcome.release = seqhide_data::io::itemset_db_to_text(&alphabet, &db);
-    Ok(outcome)
-}
-
-fn sanitize_timed(spec: &SanitizeSpec) -> Result<SanitizeOutcome, String> {
-    let text = spec.db.text()?;
-    let (mut alphabet, mut db) =
-        seqhide_data::io::parse_timed_db(&text).map_err(|e| e.to_string())?;
-    let tc = spec.time_constraints()?;
-    let mut patterns = Vec::new();
-    for text in &spec.patterns {
-        let seq = Sequence::parse(text, &mut alphabet);
-        patterns.push(
-            TimedPattern::new(seq, tc.clone()).map_err(|e| format!("pattern '{text}': {e}"))?,
-        );
-    }
-    if patterns.is_empty() {
-        return Err("nothing to hide: give patterns (plain symbols; gaps in ticks)".to_string());
-    }
-    let report = spec
-        .sanitizer(false)
-        .run_domain_threaded(&mut db, &|| TimedDomain::<Sat64>::new(&patterns));
-    if !report.hidden {
-        return Err("internal: sanitizer failed to hide timed patterns".to_string());
-    }
-    let mut outcome = empty_outcome();
-    accumulate(&mut outcome, &report);
-    outcome.release = seqhide_data::io::timed_db_to_text(&alphabet, &db);
-    Ok(outcome)
-}
-
-/// String mode: contiguous substrings sanitized by the `op`-selected edit
-/// family, mirroring the CLI's `hide_string` — database parsed (and its
-/// symbols interned) before the patterns, so substitution candidate order
-/// matches and the release is byte-identical.
-fn sanitize_string(spec: &SanitizeSpec) -> Result<SanitizeOutcome, String> {
-    let text = spec.db.text()?;
-    let mut db = SequenceDb::parse(&text);
-    let mut patterns = Vec::new();
-    for text in &spec.patterns {
-        let seq = Sequence::parse(text, db.alphabet_mut());
-        patterns.push(StringPattern::new(seq).map_err(|e| format!("pattern '{text}': {e}"))?);
-    }
-    if patterns.is_empty() {
-        return Err("nothing to hide: give patterns (contiguous substrings)".to_string());
-    }
-    let sigma_len = db.alphabet().len();
-    let op = spec.op;
-    let report = spec
-        .sanitizer(false)
-        .run_domain_threaded(db.sequences_mut(), &|| {
-            StringDomain::<Sat64>::new(&patterns, sigma_len).with_op(op)
-        });
-    if !report.hidden {
-        return Err("internal: sanitizer failed to hide string patterns".to_string());
-    }
-    let mut outcome = empty_outcome();
-    accumulate(&mut outcome, &report);
-    outcome.release = db.to_text();
-    Ok(outcome)
-}
-
-fn empty_outcome() -> SanitizeOutcome {
-    SanitizeOutcome {
-        release: String::new(),
-        marks: 0,
-        sequences_sanitized: 0,
-        supporters_before: 0,
-        residual_supports: Vec::new(),
-        hidden: true,
-    }
-}
-
-/// One fully-decoded `verify` request (plain mode, like the CLI's
-/// `seqhide verify`).
-#[derive(Clone, Debug)]
-pub struct VerifySpec {
-    /// Database text (inline or a resolved dataset; plain line format).
-    pub db: DbSource,
-    /// Sensitive patterns (plain syntax).
-    pub patterns: Vec<String>,
-    /// Disclosure threshold ψ.
-    pub psi: usize,
-    /// Minimum gap between consecutive pattern elements.
-    pub min_gap: u64,
-    /// Maximum gap, if constrained.
-    pub max_gap: Option<u64>,
-    /// Maximum whole-match window, if constrained.
-    pub max_window: Option<u64>,
-}
+/// One fully-decoded `verify` request: a plain-format database and the
+/// spec whose `patterns`, ψ and gap/window bounds it is checked against
+/// (like the CLI's `seqhide verify`).
+pub type VerifySpec = SanitizeSpec;
 
 /// The executed `verify` outcome. Unlike the CLI (whose `verify` exits
 /// non-zero on a failed check), the service reports `hidden: false` as a
@@ -497,40 +1042,24 @@ pub struct VerifyOutcome {
     pub hidden: bool,
     /// Support per pattern, in request order.
     pub supports: Vec<usize>,
+    /// Each pattern as parsed, with its constraints (`⟨a c⟩`), in request
+    /// order.
+    pub rendered: Vec<String>,
 }
 
 /// Executes one `verify` request.
 pub fn verify(spec: &VerifySpec) -> Result<VerifyOutcome, String> {
     if spec.patterns.is_empty() {
-        return Err("give at least one pattern".to_string());
+        return Err("give at least one --pattern (wire: \"patterns\")".to_string());
     }
     let text = spec.db.text()?;
     let mut db = SequenceDb::parse(&text);
-    let min = spec.min_gap as usize;
-    let max = spec.max_gap.map(|g| g as usize);
-    if let Some(max) = max {
-        if max < min {
-            return Err("max_gap must be ≥ min_gap".to_string());
-        }
-    }
-    let mut cs = if min == 0 && max.is_none() {
-        ConstraintSet::none()
-    } else {
-        ConstraintSet::uniform_gap(Gap { min, max })
-    };
-    cs.max_window = spec.max_window.map(|w| w as usize);
-    let mut patterns = Vec::new();
-    for text in &spec.patterns {
-        let seq = Sequence::parse(text, db.alphabet_mut());
-        patterns.push(
-            SensitivePattern::new(seq, cs.clone()).map_err(|e| format!("pattern '{text}': {e}"))?,
-        );
-    }
-    let sh = SensitiveSet::from_patterns(patterns);
+    let sh = spec.sensitive_set(db.alphabet_mut())?;
     let report = seqhide_core::verify_hidden(&db, &sh, spec.psi);
     Ok(VerifyOutcome {
         hidden: report.hidden,
         supports: report.supports,
+        rendered: sh.iter().map(|p| p.render(db.alphabet())).collect(),
     })
 }
 
@@ -578,6 +1107,41 @@ pub enum StatsOutcome {
     },
 }
 
+fn plain_stats(db: &SequenceDb) -> StatsOutcome {
+    let s = db.stats();
+    StatsOutcome::Plain {
+        sequences: s.len,
+        symbols_total: s.total_symbols,
+        avg_len: s.avg_len,
+        max_len: s.max_len,
+        alphabet: s.alphabet_len,
+        marks: s.marks,
+    }
+}
+
+fn itemset_stats(alphabet: &Alphabet, db: &[ItemsetSequence]) -> StatsOutcome {
+    StatsOutcome::Itemset {
+        sequences: db.len(),
+        elements_total: db.iter().map(ItemsetSequence::len).sum(),
+        items_total: db
+            .iter()
+            .flat_map(|t| t.elements().iter())
+            .map(seqhide_types::Itemset::live_len)
+            .sum(),
+        alphabet: alphabet.len(),
+        marks: db.iter().map(ItemsetSequence::mark_count).sum(),
+    }
+}
+
+fn timed_stats(alphabet: &Alphabet, db: &[TimedSequence]) -> StatsOutcome {
+    StatsOutcome::Timed {
+        sequences: db.len(),
+        events_total: db.iter().map(TimedSequence::len).sum(),
+        alphabet: alphabet.len(),
+        marks: db.iter().map(TimedSequence::mark_count).sum(),
+    }
+}
+
 /// Executes one `stats` request over `db` text in `mode`'s line format.
 pub fn stats(db: &DbSource, mode: Mode) -> Result<StatsOutcome, String> {
     if let DbSource::Dataset(snapshot) = db {
@@ -592,52 +1156,18 @@ pub fn stats(db: &DbSource, mode: Mode) -> Result<StatsOutcome, String> {
             };
         }
     }
-    let db = db.text()?;
-    let db: &str = &db;
+    let text = db.text()?;
     match mode {
         // String mode shares the plain line format, so its shape
         // summary is the plain one.
-        Mode::Plain | Mode::String => {
-            let parsed = SequenceDb::parse(db);
-            let s = parsed.stats();
-            Ok(StatsOutcome::Plain {
-                sequences: s.len,
-                symbols_total: s.total_symbols,
-                avg_len: s.avg_len,
-                max_len: s.max_len,
-                alphabet: s.alphabet_len,
-                marks: s.marks,
-            })
-        }
+        Mode::Plain | Mode::String => Ok(plain_stats(&SequenceDb::parse(&text))),
         Mode::Itemset => {
-            let (alphabet, parsed) = seqhide_data::io::parse_itemset_db(db);
-            Ok(StatsOutcome::Itemset {
-                sequences: parsed.len(),
-                elements_total: parsed.iter().map(seqhide_types::ItemsetSequence::len).sum(),
-                items_total: parsed
-                    .iter()
-                    .flat_map(|t| t.elements().iter())
-                    .map(seqhide_types::Itemset::live_len)
-                    .sum(),
-                alphabet: alphabet.len(),
-                marks: parsed
-                    .iter()
-                    .map(seqhide_types::ItemsetSequence::mark_count)
-                    .sum(),
-            })
+            let (alphabet, parsed) = parse_itemset_db(&text);
+            Ok(itemset_stats(&alphabet, &parsed))
         }
         Mode::Timed => {
-            let (alphabet, parsed) =
-                seqhide_data::io::parse_timed_db(db).map_err(|e| e.to_string())?;
-            Ok(StatsOutcome::Timed {
-                sequences: parsed.len(),
-                events_total: parsed.iter().map(seqhide_types::TimedSequence::len).sum(),
-                alphabet: alphabet.len(),
-                marks: parsed
-                    .iter()
-                    .map(seqhide_types::TimedSequence::mark_count)
-                    .sum(),
-            })
+            let (alphabet, parsed) = parse_timed_db(&text).map_err(|e| e.to_string())?;
+            Ok(timed_stats(&alphabet, &parsed))
         }
     }
 }
@@ -674,21 +1204,11 @@ mod tests {
     use super::*;
 
     fn plain_spec(db: &str, patterns: &[&str]) -> SanitizeSpec {
+        let mut hide = HideSpec::new(Mode::Plain, 0);
+        hide.patterns = patterns.iter().map(|s| s.to_string()).collect();
         SanitizeSpec {
             db: DbSource::from(db),
-            mode: Mode::Plain,
-            patterns: patterns.iter().map(|s| s.to_string()).collect(),
-            regexes: Vec::new(),
-            psi: 0,
-            local: LocalStrategy::Heuristic,
-            global: GlobalStrategy::Heuristic,
-            seed: 0,
-            engine: EngineMode::default(),
-            exact: false,
-            min_gap: 0,
-            max_gap: None,
-            max_window: None,
-            op: OpKind::Mark,
+            hide,
         }
     }
 
@@ -701,11 +1221,7 @@ mod tests {
         // the release itself verifies clean
         let v = verify(&VerifySpec {
             db: DbSource::from(out.release.clone()),
-            patterns: vec!["a c".to_string()],
-            psi: 0,
-            min_gap: 0,
-            max_gap: None,
-            max_window: None,
+            hide: plain_spec("", &["a c"]).hide,
         })
         .unwrap();
         assert!(v.hidden);
@@ -717,13 +1233,13 @@ mod tests {
         let e = sanitize(&plain_spec("a b\n", &[])).unwrap_err();
         assert!(e.contains("nothing to hide"), "{e}");
         let mut spec = plain_spec("a b\n", &["a b"]);
-        spec.min_gap = 3;
-        spec.max_gap = Some(1);
+        spec.hide.min_gap = 3;
+        spec.hide.max_gap = Some(1);
         let e = sanitize(&spec).unwrap_err();
         assert!(e.contains("max_gap must be ≥ min_gap"), "{e}");
         let mut spec = plain_spec("a b\n", &["a b"]);
-        spec.mode = Mode::Itemset;
-        spec.regexes = vec!["a (b|c)".to_string()];
+        spec.hide.mode = Mode::Itemset;
+        spec.hide.regexes = vec!["a (b|c)".to_string()];
         let e = sanitize(&spec).unwrap_err();
         assert!(e.contains("plain mode only"), "{e}");
     }
@@ -733,8 +1249,8 @@ mod tests {
         // Substitution rewrites one position per sensitive occurrence;
         // the release carries no Δ and no surviving occurrence.
         let mut spec = plain_spec("a b c\na b d\n", &["a b"]);
-        spec.mode = Mode::String;
-        spec.op = OpKind::Substitute;
+        spec.hide.mode = Mode::String;
+        spec.hide.op = OpKind::Substitute;
         let out = sanitize(&spec).unwrap();
         assert!(out.hidden);
         assert!(out.marks > 0, "edits are counted in the marks field");
@@ -742,14 +1258,14 @@ mod tests {
         assert!(!out.release.contains("a b"), "{}", out.release);
 
         // Deletion shortens the sequences instead.
-        spec.op = OpKind::Delete;
+        spec.hide.op = OpKind::Delete;
         let out = sanitize(&spec).unwrap();
         assert!(out.hidden);
         assert!(!out.release.contains("a b"), "{}", out.release);
 
         // Every other mode is Δ-mark-only.
         let mut spec = plain_spec("a b\n", &["a b"]);
-        spec.op = OpKind::Delete;
+        spec.hide.op = OpKind::Delete;
         let e = sanitize(&spec).unwrap_err();
         assert!(e.contains("mode\":\"string"), "{e}");
     }

@@ -1,10 +1,11 @@
 //! # seqhide-serve
 //!
 //! A long-running sanitization **service**: a threaded TCP server that
-//! answers newline-delimited JSON requests by driving the exact same
-//! [`Sanitizer`]/[`PatternDomain`] machinery the CLI uses — so a served
-//! release is byte-identical to `seqhide hide`'s for the same
-//! (input, pattern class, algorithm, ψ, seed).
+//! answers newline-delimited JSON requests through the same hide
+//! pipeline ([`exec`]) the CLI runs over the [`Sanitizer`]/
+//! [`PatternDomain`] machinery — so a served release is byte-identical
+//! to `seqhide hide`'s for the same (input, pattern class, algorithm, ψ,
+//! seed).
 //!
 //! Std-only by constraint and by design: the build environment has no
 //! registry access (no tokio, no serde), and the paper's workloads are
@@ -28,9 +29,9 @@
 //! * [`registry`] — named dataset snapshots (`load`/`unload`/
 //!   `datasets`), interned once and referenced by `dataset: "name"`,
 //!   persisted to `--data-dir` as compressed shard stores;
-//! * [`exec`] — request execution against the sanitization crates;
-//! * [`delta`] — the `delta` wire op: per-dataset incremental
-//!   sanitization sessions over the persistent supporter index,
+//! * [`exec`] — the hide pipeline `seqhide hide` runs too: one
+//!   [`exec::HideSpec`], and its in-memory, streamed and delta routes;
+//! * [`delta`] — the `delta` wire op: the per-dataset session table,
 //!   in-place registry mutation under versioned snapshots, `.sqdi`
 //!   index persistence beside the shard store;
 //! * [`server`] — acceptor, connection threads, worker pool, drain;

@@ -25,11 +25,11 @@
 //! no `--tenants` config the field is accepted and ignored; with one,
 //! it selects the tenant whose weight/quotas govern the request.
 //!
-//! Field names, defaults and error texts deliberately mirror the CLI
-//! (`seed` defaults to 0, `algorithm` to `hh`, `engine` to incremental,
-//! `mode` to plain), so a request with only `db`/`psi`/`patterns` set
-//! behaves exactly like the corresponding bare `seqhide hide` run.
-//! Unknown fields are rejected, as unknown flags are.
+//! `sanitize`, `delta` and `verify` decode their shared fields into the
+//! [`HideSpec`] the CLI builds from its flags, with the CLI's defaults
+//! (`seed` 0, `algorithm` `hh`, `mode` plain), so a request with only
+//! `db`/`psi`/`patterns` set behaves exactly like the corresponding bare
+//! `seqhide hide` run. Unknown fields are rejected, as unknown flags are.
 //!
 //! `sanitize`/`verify`/`stats` take the database either inline (`db`)
 //! or by reference to a previously `load`ed dataset (`dataset`), so a
@@ -40,12 +40,13 @@
 
 use std::io::{self, Write};
 
-use seqhide_core::{parse_algorithm, EngineMode};
+use seqhide_core::parse_algorithm;
 use seqhide_types::OpKind;
 
 use crate::delta::{DeltaOutcome, DeltaSpec};
 use crate::exec::{
-    DbSource, Mode, SanitizeOutcome, SanitizeSpec, StatsOutcome, VerifyOutcome, VerifySpec,
+    DbSource, HideSpec, Mode, SanitizeOutcome, SanitizeSpec, StatsOutcome, VerifyOutcome,
+    VerifySpec,
 };
 use crate::json::{self, Json};
 use crate::registry::DatasetInfo;
@@ -191,56 +192,11 @@ fn decode_doc(doc: &Json) -> Result<Request, String> {
     };
     match typ {
         "sanitize" => {
-            known_fields(
-                doc,
-                &[
-                    "type",
-                    "id",
-                    "db",
-                    "dataset",
-                    "mode",
-                    "patterns",
-                    "regexes",
-                    "psi",
-                    "algorithm",
-                    "seed",
-                    "engine",
-                    "exact",
-                    "min_gap",
-                    "max_gap",
-                    "max_window",
-                    "op",
-                    "delay_ms",
-                ],
-            )?;
-            let algorithm = str_or(doc, "algorithm", "hh")?;
-            let (local, global) = parse_algorithm(&algorithm)
-                .ok_or_else(|| format!("unknown algorithm '{algorithm}' (hh|hr|rh|rr)"))?;
-            let engine = match opt_str(doc, "engine")? {
-                None => EngineMode::default(),
-                Some(v) => EngineMode::parse(&v)
-                    .ok_or_else(|| format!("unknown engine '{v}' (incremental|scratch)"))?,
-            };
-            let op = match opt_str(doc, "op")? {
-                None => OpKind::Mark,
-                Some(v) => OpKind::parse(&v)
-                    .ok_or_else(|| format!("unknown op '{v}' (mark|delete|substitute)"))?,
-            };
+            let extra = ["db", "dataset", "regexes", "exact", "delay_ms"];
+            known_fields(doc, &[HIDE_FIELDS, &extra].concat())?;
             let spec = SanitizeSpec {
                 db: db_source(doc)?,
-                mode: Mode::parse(opt_str(doc, "mode")?.as_deref())?,
-                patterns: str_list(doc, "patterns")?,
-                regexes: str_list(doc, "regexes")?,
-                psi: required_usize(doc, "psi")?,
-                local,
-                global,
-                seed: u64_or(doc, "seed", 0)?,
-                engine,
-                exact: bool_or(doc, "exact", false)?,
-                min_gap: u64_or(doc, "min_gap", 0)?,
-                max_gap: opt_u64(doc, "max_gap")?,
-                max_window: opt_u64(doc, "max_window")?,
-                op,
+                hide: hide_spec(doc)?,
             };
             let delay_ms = u64_or(doc, "delay_ms", 0)?;
             if delay_ms > MAX_DELAY_MS {
@@ -267,11 +223,7 @@ fn decode_doc(doc: &Json) -> Result<Request, String> {
             )?;
             Ok(Request::Verify(VerifySpec {
                 db: db_source(doc)?,
-                patterns: str_list(doc, "patterns")?,
-                psi: required_usize(doc, "psi")?,
-                min_gap: u64_or(doc, "min_gap", 0)?,
-                max_gap: opt_u64(doc, "max_gap")?,
-                max_window: opt_u64(doc, "max_window")?,
+                hide: hide_spec(doc)?,
             }))
         }
         "stats" => {
@@ -282,55 +234,12 @@ fn decode_doc(doc: &Json) -> Result<Request, String> {
             })
         }
         "delta" => {
-            known_fields(
-                doc,
-                &[
-                    "type",
-                    "id",
-                    "dataset",
-                    "add",
-                    "remove",
-                    "mode",
-                    "patterns",
-                    "psi",
-                    "algorithm",
-                    "seed",
-                    "engine",
-                    "min_gap",
-                    "max_gap",
-                    "max_window",
-                    "op",
-                    "release",
-                ],
-            )?;
-            let algorithm = str_or(doc, "algorithm", "hh")?;
-            let (local, global) = parse_algorithm(&algorithm)
-                .ok_or_else(|| format!("unknown algorithm '{algorithm}' (hh|hr|rh|rr)"))?;
-            let engine = match opt_str(doc, "engine")? {
-                None => EngineMode::default(),
-                Some(v) => EngineMode::parse(&v)
-                    .ok_or_else(|| format!("unknown engine '{v}' (incremental|scratch)"))?,
-            };
-            let op = match opt_str(doc, "op")? {
-                None => OpKind::Mark,
-                Some(v) => OpKind::parse(&v)
-                    .ok_or_else(|| format!("unknown op '{v}' (mark|delete|substitute)"))?,
-            };
+            known_fields(doc, &[HIDE_FIELDS, &["dataset", "add", "remove", "release"]].concat())?;
             Ok(Request::Delta(DeltaSpec {
                 dataset: required_str(doc, "dataset")?,
                 add: str_list(doc, "add")?,
                 remove: usize_list_field(doc, "remove")?,
-                mode: Mode::parse(opt_str(doc, "mode")?.as_deref())?,
-                patterns: str_list(doc, "patterns")?,
-                psi: required_usize(doc, "psi")?,
-                local,
-                global,
-                seed: u64_or(doc, "seed", 0)?,
-                engine,
-                min_gap: u64_or(doc, "min_gap", 0)?,
-                max_gap: opt_u64(doc, "max_gap")?,
-                max_window: opt_u64(doc, "max_window")?,
-                op,
+                hide: hide_spec(doc)?,
                 want_release: bool_or(doc, "release", false)?,
             }))
         }
@@ -403,6 +312,52 @@ fn decode_doc(doc: &Json) -> Result<Request, String> {
             "unknown request type '{other}' (sanitize|verify|stats|delta|load|load_chunk|unload|datasets|health|metrics|debug|shutdown)"
         )),
     }
+}
+
+/// The fields [`hide_spec`] decodes, which `sanitize` and `delta` share.
+const HIDE_FIELDS: &[&str] = &[
+    "type",
+    "id",
+    "mode",
+    "patterns",
+    "psi",
+    "algorithm",
+    "seed",
+    "min_gap",
+    "max_gap",
+    "max_window",
+    "op",
+];
+
+/// The fields `sanitize` and `delta` share, decoded into the spec the
+/// CLI builds from its flags. Absent fields take the CLI's defaults; a
+/// request runs on one thread (the server's parallelism is its worker
+/// pool). `known_fields` keeps `delta` from setting `regexes` or `exact`.
+fn hide_spec(doc: &Json) -> Result<HideSpec, String> {
+    let algorithm = str_or(doc, "algorithm", "hh")?;
+    let (local, global) = parse_algorithm(&algorithm)
+        .ok_or_else(|| format!("unknown algorithm '{algorithm}' (hh|hr|rh|rr)"))?;
+    let op = match opt_str(doc, "op")? {
+        None => OpKind::Mark,
+        Some(v) => {
+            OpKind::parse(&v).ok_or_else(|| format!("unknown op '{v}' (mark|delete|substitute)"))?
+        }
+    };
+    Ok(HideSpec {
+        mode: Mode::parse(opt_str(doc, "mode")?.as_deref())?,
+        patterns: str_list(doc, "patterns")?,
+        regexes: str_list(doc, "regexes")?,
+        psi: required_usize(doc, "psi")?,
+        local,
+        global,
+        seed: u64_or(doc, "seed", 0)?,
+        exact: bool_or(doc, "exact", false)?,
+        min_gap: u64_or(doc, "min_gap", 0)?,
+        max_gap: opt_u64(doc, "max_gap")?,
+        max_window: opt_u64(doc, "max_window")?,
+        op,
+        threads: 1,
+    })
 }
 
 fn known_fields(doc: &Json, allowed: &[&str]) -> Result<(), String> {
@@ -1051,7 +1006,7 @@ mod tests {
         let (_, _, req) = decode(
             r#"{"id":7,"type":"sanitize","db":"a b\n","mode":"plain","patterns":["a b"],
                 "regexes":["a (b|c)"],"psi":1,"algorithm":"rr","seed":18446744073709551615,
-                "engine":"scratch","exact":true,"min_gap":1,"max_gap":4,"max_window":9,
+                "exact":true,"min_gap":1,"max_gap":4,"max_window":9,
                 "delay_ms":25}"#,
         );
         let Request::Sanitize { spec, delay_ms } = req.unwrap() else {

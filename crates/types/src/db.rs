@@ -72,6 +72,12 @@ impl SequenceDb {
         }
     }
 
+    /// Splits the database into its alphabet and sequences, without
+    /// copying either.
+    pub fn into_parts(self) -> (Alphabet, Vec<Sequence>) {
+        (self.alphabet, self.sequences)
+    }
+
     /// Appends a sequence.
     pub fn push(&mut self, t: Sequence) {
         self.sequences.push(t);

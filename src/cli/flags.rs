@@ -53,7 +53,6 @@ pub(crate) const SPECS: &[FlagSpec] = &[
             "min-gap",
             "max-gap",
             "max-window",
-            "engine",
             "threads",
             "post",
             "out",

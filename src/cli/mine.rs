@@ -2,9 +2,11 @@
 //! GSP, or the itemset miner.
 
 use seqhide_mine::{Gsp, MinerConfig, PrefixSpan};
+use seqhide_serve::exec::Mode;
+use seqhide_types::SequenceDb;
 
 use super::flags::Flags;
-use super::{constraints, err, load_db, mode, read_text, CliError};
+use super::{err, gaps, mode, read_text, CliError};
 
 pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
     let sigma = flags
@@ -18,7 +20,7 @@ pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
     if let Some(l) = flags.one("max-len") {
         cfg = cfg.with_max_len(l.parse().map_err(|_| err("--max-len: not a number"))?);
     }
-    if mode(flags)? == "itemset" {
+    if mode(flags)? == Mode::Itemset {
         let (alphabet, db) = seqhide_data::io::parse_itemset_db(&read_text(flags)?);
         let result = seqhide_mine::ItemsetMiner::mine(&db, &cfg);
         let mut rows = result.patterns.clone();
@@ -38,15 +40,20 @@ pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
         }
         return Ok(out);
     }
-    if mode(flags)? == "timed" {
+    if mode(flags)? == Mode::Timed {
         return Err(err(
             "mining timed databases is not supported; project the symbols",
         ));
     }
-    let db = load_db(flags)?;
+    let db = SequenceDb::parse(&read_text(flags)?);
     let result = match flags.one("miner").unwrap_or("prefixspan") {
         "prefixspan" => PrefixSpan::mine(&db, &cfg),
-        "gsp" => Gsp::mine(&db, &cfg.with_constraints(constraints(flags)?)),
+        "gsp" => {
+            let (min_gap, max_gap, max_window) = gaps(flags)?;
+            let cs =
+                seqhide_serve::exec::gap_constraints(min_gap, max_gap, max_window).map_err(err)?;
+            Gsp::mine(&db, &cfg.with_constraints(cs))
+        }
         other => return Err(err(format!("unknown miner '{other}'"))),
     };
     let mut rows = result.patterns.clone();

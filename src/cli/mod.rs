@@ -21,9 +21,8 @@
 
 use std::fmt;
 
-use seqhide_match::{ConstraintSet, Gap, SensitivePattern, SensitiveSet};
 use seqhide_obs as obs;
-use seqhide_types::{Sequence, SequenceDb};
+use seqhide_serve::exec::Mode;
 
 mod attack;
 mod flags;
@@ -67,7 +66,7 @@ USAGE:
                  [--domain plain|itemset|timed|regex|string]
                  [--op mark|delete|substitute] [--algorithm hh|hr|rh|rr]
                  [--seed S] [--exact] [--min-gap G] [--max-gap G] [--max-window W]
-                 [--engine incremental|scratch] [--threads N]
+                 [--threads N]
                  [--post keep|delete|replace] [--out FILE] [--report]
                  [--stream] [--batch-size N] [--delta FILE]
                  [--metrics-out FILE] [--progress]
@@ -154,49 +153,32 @@ TELEMETRY:
   --progress          print throttled progress lines to stderr
 ";
 
-pub(crate) fn load_db(flags: &Flags) -> Result<SequenceDb, CliError> {
-    let path = flags.required("db")?;
-    seqhide_data::io::read_db(path).map_err(|e| err(format!("cannot read {path}: {e}")))
-}
-
-pub(crate) fn constraints(flags: &Flags) -> Result<ConstraintSet, CliError> {
-    let min = flags.usize_or("min-gap", 0)?;
-    let max = match flags.one("max-gap") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| err("--max-gap: not a number"))?),
+/// The `--min-gap`/`--max-gap`/`--max-window` flags, for
+/// [`seqhide_serve::exec::gap_constraints`] and the hide pipeline to
+/// check and apply.
+pub(crate) fn gaps(flags: &Flags) -> Result<(u64, Option<u64>, Option<u64>), CliError> {
+    let bound = |name: &str| {
+        flags
+            .one(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| err(format!("--{name}: not a number")))
+            })
+            .transpose()
     };
-    if let Some(max) = max {
-        if max < min {
-            return Err(err("--max-gap must be ≥ --min-gap"));
-        }
-    }
-    let mut cs = if min == 0 && max.is_none() {
-        ConstraintSet::none()
-    } else {
-        ConstraintSet::uniform_gap(Gap { min, max })
-    };
-    if let Some(w) = flags.one("max-window") {
-        cs.max_window = Some(w.parse().map_err(|_| err("--max-window: not a number"))?);
-    }
-    Ok(cs)
+    Ok((
+        flags.u64_or("min-gap", 0)?,
+        bound("max-gap")?,
+        bound("max-window")?,
+    ))
 }
 
-pub(crate) fn sensitive_set(flags: &Flags, db: &mut SequenceDb) -> Result<SensitiveSet, CliError> {
-    let cs = constraints(flags)?;
-    let mut patterns = Vec::new();
-    for text in flags.all("pattern") {
-        let seq = Sequence::parse(text, db.alphabet_mut());
-        patterns.push(
-            SensitivePattern::new(seq, cs.clone())
-                .map_err(|e| err(format!("--pattern '{text}': {e}")))?,
-        );
-    }
-    Ok(SensitiveSet::from_patterns(patterns))
-}
-
-pub(crate) fn mode(flags: &Flags) -> Result<&str, CliError> {
+/// The `--mode` line format.
+pub(crate) fn mode(flags: &Flags) -> Result<Mode, CliError> {
     match flags.one("mode").unwrap_or("plain") {
-        m @ ("plain" | "itemset" | "timed") => Ok(m),
+        "plain" => Ok(Mode::Plain),
+        "itemset" => Ok(Mode::Itemset),
+        "timed" => Ok(Mode::Timed),
         other => Err(err(format!("unknown mode '{other}' (plain|itemset|timed)"))),
     }
 }

@@ -1,50 +1,40 @@
 //! `seqhide stats` — summarise a sequence database in any of the three
-//! line formats.
+//! line formats (the shape the serve `stats` request reports).
+
+use seqhide_serve::exec::{self, DbSource, StatsOutcome};
 
 use super::flags::Flags;
-use super::{err, load_db, mode, read_text, CliError};
+use super::{err, mode, read_text, CliError};
 
 pub(crate) fn cmd_stats(flags: &Flags) -> Result<String, CliError> {
-    match mode(flags)? {
-        "itemset" => {
-            let (alphabet, db) = seqhide_data::io::parse_itemset_db(&read_text(flags)?);
-            let elements: usize = db.iter().map(seqhide_types::ItemsetSequence::len).sum();
-            let items: usize = db
-                .iter()
-                .flat_map(|t| t.elements().iter())
-                .map(seqhide_types::Itemset::live_len)
-                .sum();
-            let marks: usize = db
-                .iter()
-                .map(seqhide_types::ItemsetSequence::mark_count)
-                .sum();
-            Ok(format!(
-                "sequences:      {}\nelements total: {elements}\nitems total:    {items}\nalphabet |Σ|:   {}\nmarks (Δ):      {marks}\n",
-                db.len(),
-                alphabet.len()
-            ))
-        }
-        "timed" => {
-            let (alphabet, db) = seqhide_data::io::parse_timed_db(&read_text(flags)?)
-                .map_err(|e| err(e.to_string()))?;
-            let events: usize = db.iter().map(seqhide_types::TimedSequence::len).sum();
-            let marks: usize = db
-                .iter()
-                .map(seqhide_types::TimedSequence::mark_count)
-                .sum();
-            Ok(format!(
-                "sequences:      {}\nevents total:   {events}\nalphabet |Σ|:   {}\nmarks (Δ):      {marks}\n",
-                db.len(),
-                alphabet.len()
-            ))
-        }
-        _ => {
-            let db = load_db(flags)?;
-            let s = db.stats();
-            Ok(format!(
-                "sequences:      {}\nsymbols total:  {}\navg length:     {:.2}\nmax length:     {}\nalphabet |Σ|:   {}\nmarks (Δ):      {}\n",
-                s.len, s.total_symbols, s.avg_len, s.max_len, s.alphabet_len, s.marks
-            ))
-        }
-    }
+    let stats = exec::stats(&DbSource::from(read_text(flags)?), mode(flags)?).map_err(err)?;
+    Ok(match stats {
+        StatsOutcome::Plain {
+            sequences,
+            symbols_total,
+            avg_len,
+            max_len,
+            alphabet,
+            marks,
+        } => format!(
+            "sequences:      {sequences}\nsymbols total:  {symbols_total}\navg length:     {avg_len:.2}\nmax length:     {max_len}\nalphabet |Σ|:   {alphabet}\nmarks (Δ):      {marks}\n"
+        ),
+        StatsOutcome::Itemset {
+            sequences,
+            elements_total,
+            items_total,
+            alphabet,
+            marks,
+        } => format!(
+            "sequences:      {sequences}\nelements total: {elements_total}\nitems total:    {items_total}\nalphabet |Σ|:   {alphabet}\nmarks (Δ):      {marks}\n"
+        ),
+        StatsOutcome::Timed {
+            sequences,
+            events_total,
+            alphabet,
+            marks,
+        } => format!(
+            "sequences:      {sequences}\nevents total:   {events_total}\nalphabet |Σ|:   {alphabet}\nmarks (Δ):      {marks}\n"
+        ),
+    })
 }

@@ -220,60 +220,6 @@ fn hide_rejects_empty_and_bad_input() {
 }
 
 #[test]
-fn engine_flag_selects_counting_core() {
-    let dir = tmpdir("engine");
-    let db = write_db(&dir, "db.seq", "a b c\nb a c\nc c a\na c\na b a b\n");
-    let run_with = |engine: Option<&str>, algorithm: &str, out: &str| {
-        let out_path = dir.join(out).to_string_lossy().into_owned();
-        let mut a = args(&[
-            "hide",
-            "--db",
-            &db,
-            "--psi",
-            "0",
-            "--pattern",
-            "a c",
-            "--pattern",
-            "a b",
-            "--algorithm",
-            algorithm,
-            "--seed",
-            "3",
-            "--out",
-            &out_path,
-        ]);
-        if let Some(e) = engine {
-            a.extend(args(&["--engine", e]));
-        }
-        run(&a).unwrap();
-        fs::read_to_string(dir.join(out)).unwrap()
-    };
-    for algorithm in ["hh", "rr"] {
-        // the incremental engine (default) and the from-scratch escape
-        // hatch release byte-identical databases
-        let default = run_with(None, algorithm, "default.seq");
-        let incremental = run_with(Some("incremental"), algorithm, "incremental.seq");
-        let scratch = run_with(Some("scratch"), algorithm, "scratch.seq");
-        assert_eq!(default, incremental, "{algorithm}");
-        assert_eq!(default, scratch, "{algorithm}");
-    }
-    // bad value rejected
-    let e = run(&args(&[
-        "hide",
-        "--db",
-        &db,
-        "--psi",
-        "0",
-        "--pattern",
-        "a c",
-        "--engine",
-        "warp",
-    ]))
-    .unwrap_err();
-    assert!(e.0.contains("unknown engine"));
-}
-
-#[test]
 fn gen_produces_calibrated_dataset() {
     let dir = tmpdir("gen");
     let out_path = dir.join("synthetic.seq").to_string_lossy().into_owned();
@@ -1281,4 +1227,179 @@ fn serve_rejects_degenerate_pool_and_queue_sizes() {
     // unknown serve flags get the usual "did you mean"
     let e = run(&args(&["serve", "--queue-dept", "4"])).unwrap_err();
     assert!(e.0.contains("did you mean --queue-depth?"), "{e}");
+}
+
+/// `hide --delta` absorbs one edits batch through the persistent
+/// supporter index; its release must equal a fresh `hide` of the mutated
+/// database on the same seed, for every domain the delta route serves.
+/// The edits only remove sequences whose symbols appear earlier in the
+/// file and only add known symbols, so the fresh run interns symbols in
+/// the same order as the delta session.
+#[test]
+fn delta_release_equals_a_fresh_hide_of_the_mutated_database() {
+    let dir = tmpdir("delta");
+    struct Case {
+        name: &'static str,
+        db: &'static str,
+        edits: &'static str,
+        mutated: &'static str,
+        flags: &'static [&'static str],
+    }
+    let cases = [
+        Case {
+            name: "plain",
+            db: "a b c\nb a c\nc c a\na c\na b a b\nc a b\n",
+            edits: "# one batch\n+ a c a\n- 1\n\n+ b c\n",
+            mutated: "a b c\nc c a\na c\na b a b\nc a b\na c a\nb c\n",
+            flags: &["--pattern", "a c", "--pattern", "a b"],
+        },
+        Case {
+            name: "plain-exact",
+            db: "a b c\nb a c\nc c a\na c\na b a b\nc a b\n",
+            edits: "+ a c a\n- 1\n+ b c\n",
+            mutated: "a b c\nc c a\na c\na b a b\nc a b\na c a\nb c\n",
+            flags: &["--pattern", "a c", "--pattern", "a b", "--exact"],
+        },
+        Case {
+            name: "itemset",
+            db: "bread,milk beer\nbeer bread\nbread,milk bread\nmilk beer,bread\n",
+            edits: "- 2\n+ bread,milk beer,milk\n",
+            mutated: "bread,milk beer\nbeer bread\nmilk beer,bread\nbread,milk beer,milk\n",
+            flags: &["--mode", "itemset", "--pattern", "bread,milk beer"],
+        },
+        Case {
+            name: "timed",
+            db: "a@0 b@5 c@9\nb@0 a@3 c@7\na@1 c@4\nc@0 a@2 c@9\n",
+            edits: "+ a@0 c@3\n- 2\n",
+            mutated: "a@0 b@5 c@9\nb@0 a@3 c@7\nc@0 a@2 c@9\na@0 c@3\n",
+            flags: &["--mode", "timed", "--pattern", "a c", "--max-gap", "5"],
+        },
+        Case {
+            name: "string-delete",
+            db: "a b c\na b d\nc a b\nb a\n",
+            edits: "- 3\n+ a b a b\n",
+            mutated: "a b c\na b d\nc a b\na b a b\n",
+            flags: &["--domain", "string", "--op", "delete", "--pattern", "a b"],
+        },
+    ];
+    for case in &cases {
+        let db = write_db(&dir, &format!("{}.db", case.name), case.db);
+        let edits = write_db(&dir, &format!("{}.edits", case.name), case.edits);
+        let mutated = write_db(&dir, &format!("{}.mutated", case.name), case.mutated);
+        for algorithm in ["hh", "rr"] {
+            let hide = |db: &str, delta: Option<&str>, out: &str| {
+                let out_path = dir.join(out).to_string_lossy().into_owned();
+                let mut a = args(&[
+                    "hide",
+                    "--db",
+                    db,
+                    "--psi",
+                    "1",
+                    "--algorithm",
+                    algorithm,
+                    "--seed",
+                    "7",
+                    "--out",
+                    &out_path,
+                ]);
+                a.extend(args(case.flags));
+                if let Some(edits) = delta {
+                    a.extend(args(&["--delta", edits]));
+                }
+                let head = run(&a).unwrap_or_else(|e| panic!("{} {algorithm}: {e}", case.name));
+                (head, fs::read_to_string(&out_path).unwrap())
+            };
+            let (head, delta_release) = hide(&db, Some(&edits), "delta.out");
+            assert!(head.contains("delta: +"), "{}: {head}", case.name);
+            let (_, fresh_release) = hide(&mutated, None, "fresh.out");
+            assert_eq!(
+                delta_release, fresh_release,
+                "{} {algorithm}: --delta release diverges from a fresh hide",
+                case.name
+            );
+        }
+    }
+
+    // Combinations the incremental route cannot honour are refused.
+    let db = write_db(&dir, "refuse.db", "a b c\na c\n");
+    let edits = write_db(&dir, "refuse.edits", "+ a c\n");
+    let refusals: &[(&[&str], &str)] = &[
+        (&["--pattern", "a c", "--stream"], "--stream"),
+        (&["--pattern", "a c", "--post", "delete"], "--post"),
+        (
+            &[
+                "--domain",
+                "string",
+                "--pattern",
+                "a c",
+                "--op",
+                "substitute",
+            ],
+            "substitute",
+        ),
+        (&["--pattern", "a c", "--regex", "a b"], "--regex"),
+    ];
+    for (flags, needle) in refusals {
+        let mut a = args(&["hide", "--db", &db, "--psi", "0", "--delta", &edits]);
+        a.extend(args(flags));
+        let e = run(&a).unwrap_err();
+        assert!(e.0.contains(needle), "{flags:?}: {e}");
+    }
+}
+
+/// A timed gap window with `--max-gap` below `--min-gap` matches nothing,
+/// so hiding against it would report a vacuous success; and `--exact`
+/// only changes the counting of plain `--pattern` families. Both are
+/// refused up front instead of being accepted and ignored.
+#[test]
+fn unsatisfiable_gaps_and_inapplicable_exact_are_refused() {
+    let dir = tmpdir("refusals");
+    let pdb = write_db(&dir, "plain.seq", "a b c\na c\n");
+    let idb = write_db(&dir, "baskets.db", "a,b c\nc a\n");
+    let tdb = write_db(&dir, "events.db", "a@0 c@4\nc@0 a@9\n");
+    let e = run(&args(&[
+        "hide",
+        "--db",
+        &tdb,
+        "--mode",
+        "timed",
+        "--psi",
+        "0",
+        "--pattern",
+        "a c",
+        "--min-gap",
+        "5",
+        "--max-gap",
+        "2",
+    ]))
+    .unwrap_err();
+    assert!(e.0.contains("--max-gap must be ≥ --min-gap"), "{e}");
+
+    let no_plain_family: &[&[&str]] = &[
+        &["--db", &idb, "--mode", "itemset", "--pattern", "a c"],
+        &["--db", &tdb, "--mode", "timed", "--pattern", "a c"],
+        &["--db", &pdb, "--domain", "string", "--pattern", "a c"],
+        &["--db", &pdb, "--regex", "a (b | c)"],
+    ];
+    for flags in no_plain_family {
+        let mut a = args(&["hide", "--psi", "0", "--exact"]);
+        a.extend(args(flags));
+        let e = run(&a).unwrap_err();
+        assert!(e.0.contains("--exact"), "{flags:?}: {e}");
+    }
+    // plain patterns, alone or beside regexes, still take --exact
+    for extra in [&[][..], &["--regex", "a (b | c)"]] {
+        let mut a = args(&[
+            "hide",
+            "--db",
+            &pdb,
+            "--psi",
+            "0",
+            "--pattern",
+            "a c",
+            "--exact",
+        ]);
+        a.extend(args(extra));
+        run(&a).unwrap_or_else(|e| panic!("{extra:?}: {e}"));
+    }
 }

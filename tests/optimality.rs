@@ -6,9 +6,8 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use seqhide::core::local::sanitize_sequence;
-use seqhide::core::LocalStrategy;
-use seqhide::matching::{matching_size, SensitiveSet};
+use seqhide::core::{sanitize_victim, LocalStrategy};
+use seqhide::matching::{matching_size, MatchEngine, SensitiveSet};
 use seqhide::num::Count as _;
 use seqhide::num::Sat64;
 use seqhide::prelude::*;
@@ -67,7 +66,12 @@ fn optimal_marks(t: &Sequence, sh: &SensitiveSet) -> usize {
 fn hh_marks(t: &Sequence, sh: &SensitiveSet) -> usize {
     let mut work = t.clone();
     let mut rng = ChaCha8Rng::seed_from_u64(0);
-    sanitize_sequence::<Sat64, _>(&mut work, sh, LocalStrategy::Heuristic, &mut rng)
+    sanitize_victim(
+        &mut MatchEngine::<Sat64>::new(sh),
+        &mut work,
+        LocalStrategy::Heuristic,
+        &mut rng,
+    )
 }
 
 proptest! {

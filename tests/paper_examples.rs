@@ -1,12 +1,13 @@
 //! Every worked example and formal construction in the paper, verified
 //! through the public API end to end.
 
-use seqhide::core::{LocalStrategy, Sanitizer};
+use seqhide::core::{sanitize_victim, LocalStrategy, Sanitizer};
 use seqhide::matching::enumerate::{enumerate_embeddings, EnumerateConfig};
 use seqhide::matching::{
-    count_embeddings, count_matches, delta_all, matching_size, ConstraintSet, Gap, SensitivePattern,
+    count_embeddings, count_matches, delta_all, matching_size, ConstraintSet, Gap, MatchEngine,
+    SensitivePattern,
 };
-use seqhide::num::Count as _;
+use seqhide::num::{Count as _, Sat64};
 use seqhide::prelude::*;
 use seqhide::types::Alphabet;
 
@@ -75,9 +76,9 @@ fn example_2_delta_values_and_choice() {
     let mut t2 = t.clone();
     use rand::SeedableRng as _;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-    let marks = seqhide::core::local::sanitize_sequence::<seqhide::num::Sat64, _>(
+    let marks = sanitize_victim(
+        &mut MatchEngine::<Sat64>::new(&sh),
         &mut t2,
-        &sh,
         LocalStrategy::Heuristic,
         &mut rng,
     );
@@ -143,9 +144,9 @@ fn theorem_1_reduction_yields_hitting_sets() {
     let mut work = t.clone();
     use rand::SeedableRng as _;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-    let marks = seqhide::core::local::sanitize_sequence::<seqhide::num::Sat64, _>(
+    let marks = sanitize_victim(
+        &mut MatchEngine::<Sat64>::new(&sh),
         &mut work,
-        &sh,
         LocalStrategy::Heuristic,
         &mut rng,
     );

@@ -337,6 +337,74 @@ fn string_mode_op_round_trip_matches_cli() {
     handle.join().unwrap();
 }
 
+/// The wire refuses what the CLI refuses, with the same message: a timed
+/// gap window whose maximum is below its minimum, and `exact` on a
+/// request with no plain `patterns` family to count exactly.
+#[test]
+fn wire_and_cli_refuse_bad_gaps_and_inapplicable_exact_alike() {
+    let dir = tmpdir("refusals");
+    let (addr, handle) = start(1, 4);
+    let timed = "a@0 c@4\nc@0 a@9\n";
+    let itemset = "a,b c\nc a\n";
+    let plain = "a b c\na c\n";
+    // (mode, db, wire fields, the same settings as CLI flags)
+    type Case<'a> = (&'a str, &'a str, Vec<(&'a str, Json)>, &'a [&'a str]);
+    let cases: Vec<Case> = vec![
+        (
+            "timed",
+            timed,
+            vec![
+                ("patterns", str_arr(&["a c"])),
+                ("min_gap", Json::num(5)),
+                ("max_gap", Json::num(2)),
+            ],
+            &["--pattern", "a c", "--min-gap", "5", "--max-gap", "2"],
+        ),
+        (
+            "itemset",
+            itemset,
+            vec![("patterns", str_arr(&["a c"])), ("exact", Json::Bool(true))],
+            &["--pattern", "a c", "--exact"],
+        ),
+        (
+            "plain",
+            plain,
+            vec![
+                ("regexes", str_arr(&["a (b | c)"])),
+                ("exact", Json::Bool(true)),
+            ],
+            &["--regex", "a (b | c)", "--exact"],
+        ),
+    ];
+    for (mode, db, fields, flags) in cases {
+        let mut members = vec![
+            ("type", Json::Str("sanitize".to_string())),
+            ("db", Json::Str(db.to_string())),
+            ("mode", Json::Str(mode.to_string())),
+            ("psi", Json::num(0)),
+        ];
+        members.extend(fields);
+        let resp = send_one(addr, &obj(members));
+        assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
+        let wire = resp
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
+        let db_path = dir
+            .join(format!("{mode}.db"))
+            .to_string_lossy()
+            .into_owned();
+        fs::write(&db_path, db).unwrap();
+        let mut a = args(&["hide", "--db", &db_path, "--mode", mode, "--psi", "0"]);
+        a.extend(args(flags));
+        let e = cli(&a).unwrap_err();
+        assert_eq!(wire, e.0, "{mode}: the wire and the CLI disagree");
+    }
+    send_one(addr, r#"{"type":"shutdown"}"#);
+    handle.join().unwrap();
+}
+
 /// Verify and stats answered over the wire match the CLI's semantics.
 #[test]
 fn verify_and_stats_requests_execute_on_the_pool() {
