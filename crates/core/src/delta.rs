@@ -15,7 +15,13 @@
 //!    comparators with a fresh seed-keyed RNG — exactly what a full run
 //!    would do, so the victim set is *identical* to full
 //!    re-sanitization of the mutated database.
-//! 3. Only sequences whose victim status flipped are re-marked.
+//! 3. Only sequences whose victim status flipped are re-marked, through
+//!    the same victim fan-out as a full run.
+//!
+//! The residual tally follows the residual rule of [`crate::index`]: it
+//! counts the supporters whose released content supports each pattern.
+//! The cold build counts it over the index's supporters; an apply moves
+//! only the touched supporters' contributions in or out.
 //!
 //! **Why re-marking only flipped victims is safe.** Each victim's marks
 //! are produced by `Sanitizer::sanitize_one_domain` with an RNG keyed
@@ -34,16 +40,13 @@
 //! pin all of this byte-for-byte against full re-sanitization across
 //! every strategy pair, domain, engine mode, and thread count.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use seqhide_match::PatternDomain;
+use seqhide_match::{EngineStats, PatternDomain};
 use seqhide_num::Count;
 use seqhide_obs::{self as obs, Counter, Phase};
 
-use crate::global::SupporterStat;
-use crate::index::SupporterIndex;
+use crate::index::{tally, SupporterIndex};
 use crate::local::LocalStrategy;
-use crate::sanitizer::{SanitizeReport, Sanitizer};
+use crate::sanitizer::{by_ordinal, SanitizeReport, Sanitizer};
 
 /// One mutation batch: sequences to append and database ordinals (into
 /// the *current* database, 0-based) to retire.
@@ -108,8 +111,8 @@ impl<S: Clone, C: Count> DeltaState<S, C> {
 
     /// Builds the state from a previously persisted supporter index,
     /// skipping the full supporter scan. `residual` may carry the
-    /// persisted residual-support tally; when absent it is recomputed
-    /// with one `supports_pattern` sweep. The caller is responsible for
+    /// persisted residual-support tally; when absent it is recounted over
+    /// the index's supporters. The caller is responsible for
     /// `index` actually describing `originals` under `config` (the serve
     /// layer guards this with a config fingerprint + dataset version).
     pub fn from_index<D>(
@@ -122,29 +125,20 @@ impl<S: Clone, C: Count> DeltaState<S, C> {
     where
         D: PatternDomain<Seq = S, Count = C>,
     {
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed());
-        let victims = index.select(config.psi(), config.global(), &mut rng);
+        let victims = config.select(&index);
         let mut released: Vec<S> = originals.to_vec();
-        let mut victim_marks = vec![0usize; victims.len()];
-        for (sel, &ord) in victims.iter().enumerate() {
-            victim_marks[sel] = config.sanitize_one_domain(domain, &mut released[ord], sel);
+        let pairs = by_ordinal(&victims);
+        let (marks, _) = config.mark_slice(&mut released, &pairs, domain, None);
+        let mut victim_marks = vec![0; victims.len()];
+        for (&(_, sel), m) in pairs.iter().zip(marks) {
+            victim_marks[sel] = m;
         }
         let residual = match residual {
             Some(r) => {
                 assert_eq!(r.len(), domain.pattern_count(), "one residual per pattern");
                 r
             }
-            None => {
-                let mut r = vec![0usize; domain.pattern_count()];
-                for t in &released {
-                    for (k, slot) in r.iter_mut().enumerate() {
-                        if domain.supports_pattern(t, k) {
-                            *slot += 1;
-                        }
-                    }
-                }
-                r
-            }
+            None => index.residual(domain, &released),
         };
         DeltaState {
             config: config.clone(),
@@ -195,15 +189,13 @@ impl<S: Clone, C: Count> DeltaState<S, C> {
     /// The report describing the current state — algorithmic fields
     /// identical to a full [`Sanitizer::run`] over the current originals.
     pub fn report(&self) -> SanitizeReport {
-        SanitizeReport {
-            marks_introduced: self.victim_marks.iter().sum(),
-            sequences_sanitized: self.victims.len(),
-            supporters_before: self.index.len(),
-            residual_supports: self.residual.clone(),
-            hidden: self.residual.iter().all(|&s| s <= self.config.psi()),
-            engine_repairs: 0,
-            fallback_recounts: 0,
-        }
+        self.config.report(
+            self.victim_marks.iter().sum(),
+            self.victims.len(),
+            self.index.len(),
+            self.residual.clone(),
+            EngineStats::default(),
+        )
     }
 
     /// Applies one mutation batch incrementally. Errors (leaving the
@@ -255,63 +247,47 @@ impl<S: Clone, C: Count> DeltaState<S, C> {
         let added_count = delta.added.len();
         for t in delta.added {
             let ordinal = self.originals.len();
-            if domain.is_supporter(&t) {
-                self.index.push(SupporterStat::measure_domain(
-                    domain,
-                    ordinal,
-                    self.config.global(),
-                    &t,
-                ));
-            }
+            self.index.record(domain, ordinal, self.config.global(), &t);
             self.released.push(t.clone());
             self.originals.push(t);
         }
 
         // Re-select on the updated index — same comparators, fresh
         // seed-keyed RNG, exactly as a full run would.
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed());
-        let victims = self
-            .index
-            .select(self.config.psi(), self.config.global(), &mut rng);
+        let victims = self.config.select(&self.index);
 
         // Re-mark only flipped victims (see module docs for why carrying
-        // the rest over is byte-safe).
+        // the rest over is byte-safe): newly selected ones, and carried
+        // ones whose shifted selection ordinal re-keys a random local
+        // strategy's RNG.
+        let rng_matters = self.config.local() == LocalStrategy::Random;
         let mut victim_marks = vec![0usize; victims.len()];
-        let mut remarked = 0usize;
+        let mut remark: Vec<(usize, usize)> = Vec::new();
         for (sel, &ord) in victims.iter().enumerate() {
-            if let Some(&(old_sel, old_marks)) = carried.get(&ord) {
-                let rng_key_changed = old_sel != sel;
-                let rng_matters = self.config.local() == LocalStrategy::Random;
-                if !(rng_key_changed && rng_matters) {
+            match carried.get(&ord) {
+                Some(&(old_sel, old_marks)) if !(rng_matters && old_sel != sel) => {
                     victim_marks[sel] = old_marks;
-                    continue;
                 }
-                // Ordinal shifted under a random local strategy: marks
-                // must be re-derived from the pristine original.
-                self.bump_residual(domain, ord, false);
-                self.released[ord] = self.originals[ord].clone();
-                victim_marks[sel] =
-                    self.config
-                        .sanitize_one_domain(domain, &mut self.released[ord], sel);
-                self.bump_residual(domain, ord, true);
-                remarked += 1;
-                continue;
+                _ => remark.push((ord, sel)),
             }
-            // Newly selected victim: an old survivor (released content is
-            // its original) or an appended sequence (residual not yet
-            // tallied — added below for the whole appended range).
-            let tally_here = ord < first_new;
-            if tally_here {
-                self.bump_residual(domain, ord, false);
-            }
-            victim_marks[sel] =
-                self.config
-                    .sanitize_one_domain(domain, &mut self.released[ord], sel);
-            if tally_here {
-                self.bump_residual(domain, ord, true);
-            }
-            remarked += 1;
         }
+        remark.sort_unstable();
+        // Marks are re-derived from the pristine original. Appended
+        // sequences enter the residual tally below, after any marking.
+        for &(ord, _) in remark.iter().filter(|&&(ord, _)| ord < first_new) {
+            self.bump_residual(domain, ord, false);
+            self.released[ord] = self.originals[ord].clone();
+        }
+        let (marks, _) = self
+            .config
+            .mark_slice(&mut self.released, &remark, domain, None);
+        for (&(ord, sel), m) in remark.iter().zip(marks) {
+            victim_marks[sel] = m;
+            if ord < first_new {
+                self.bump_residual(domain, ord, true);
+            }
+        }
+        let remarked = remark.len();
 
         // Restore ex-victims (selected before, not selected now).
         let victim_set: std::collections::HashSet<usize> = victims.iter().copied().collect();
@@ -347,20 +323,15 @@ impl<S: Clone, C: Count> DeltaState<S, C> {
     }
 
     /// Adds (`add = true`) or removes the released sequence `ord`'s
-    /// contribution to the residual-support tally.
+    /// contribution to the residual-support tally. Only supporters count
+    /// (the residual rule of [`crate::index`]), so `ord` must use the
+    /// index's current numbering.
     fn bump_residual<D>(&mut self, domain: &mut D, ord: usize, add: bool)
     where
         D: PatternDomain<Seq = S, Count = C>,
     {
-        let t = &self.released[ord];
-        for (k, slot) in self.residual.iter_mut().enumerate() {
-            if domain.supports_pattern(t, k) {
-                if add {
-                    *slot += 1;
-                } else {
-                    *slot = slot.checked_sub(1).expect("residual tally underflow");
-                }
-            }
+        if self.index.contains(ord) {
+            tally(domain, &self.released[ord], &mut self.residual, add);
         }
     }
 }

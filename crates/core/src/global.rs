@@ -2,10 +2,9 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use seqhide_match::{matching_size, PatternDomain, SensitiveSet};
+use seqhide_match::PatternDomain;
 use seqhide_num::Count;
 use seqhide_obs::{self as obs, Phase};
-use seqhide_types::SequenceDb;
 
 /// How victim sequences are selected from the supporters of `S_h`.
 ///
@@ -39,7 +38,7 @@ pub enum GlobalStrategy {
 /// pass 1 of the streaming driver ([`crate::stream`]) has to retain about
 /// a supporting sequence after the sequence itself is dropped. Only the
 /// field the given strategy sorts by is actually measured; the rest stay
-/// at their defaults, so the cost profile matches the eager path.
+/// at their defaults.
 #[derive(Clone, Debug, Default)]
 pub struct SupporterStat<C> {
     /// The sequence's ordinal (index) in database order.
@@ -55,40 +54,8 @@ pub struct SupporterStat<C> {
 
 impl<C: Count> SupporterStat<C> {
     /// Measures the statistic `strategy` will sort by for the supporter at
-    /// `ordinal` with content `t`.
-    pub fn measure(
-        ordinal: usize,
-        strategy: GlobalStrategy,
-        sh: &SensitiveSet,
-        t: &seqhide_types::Sequence,
-    ) -> Self {
-        let mut stat = SupporterStat {
-            ordinal,
-            matching: C::zero(),
-            distinct_ratio: 0.0,
-            len: 0,
-        };
-        match strategy {
-            GlobalStrategy::Heuristic => stat.matching = matching_size::<C>(sh, t),
-            GlobalStrategy::Random => {}
-            GlobalStrategy::AutoCorrelation => {
-                let mut syms: Vec<_> = t.iter().filter(|s| !s.is_mark()).copied().collect();
-                syms.sort_unstable();
-                syms.dedup();
-                stat.distinct_ratio = if t.is_empty() {
-                    1.0
-                } else {
-                    syms.len() as f64 / t.len() as f64
-                };
-            }
-            GlobalStrategy::Length => stat.len = t.len(),
-        }
-        stat
-    }
-
-    /// [`SupporterStat::measure`] through a [`PatternDomain`] — the form
-    /// the generic sanitizer and streaming driver use. As with the plain
-    /// path, only the field `strategy` sorts by is actually measured.
+    /// `ordinal` with content `t`, through the domain every driver scans
+    /// with. Only that field is measured; the rest keep their defaults.
     pub fn measure_domain<D: PatternDomain<Count = C>>(
         domain: &mut D,
         ordinal: usize,
@@ -111,36 +78,13 @@ impl<C: Count> SupporterStat<C> {
     }
 }
 
-/// Selects the supporter indices to sanitize: `max(0, supporters − ψ)` of
-/// them, per `strategy`. `supporters` must be the indices of sequences
-/// supporting at least one sensitive pattern (see
-/// [`seqhide_match::supporters`]).
-pub fn select_victims<C: Count, R: Rng + ?Sized>(
-    db: &SequenceDb,
-    sh: &SensitiveSet,
-    supporters: &[usize],
-    psi: usize,
-    strategy: GlobalStrategy,
-    rng: &mut R,
-) -> Vec<usize> {
-    if supporters.len() <= psi {
-        let _span = obs::span(Phase::SelectVictims);
-        return Vec::new();
-    }
-    let stats: Vec<SupporterStat<C>> = supporters
-        .iter()
-        .map(|&i| SupporterStat::measure(i, strategy, sh, &db.sequences()[i]))
-        .collect();
-    select_victims_from_stats(&stats, psi, strategy, rng)
-}
-
-/// [`select_victims`] over precomputed per-supporter statistics — the form
-/// the streaming driver uses, where pass 1 kept only a [`SupporterStat`]
-/// per supporter and the sequences themselves are gone. `stats` must be in
-/// database order; the returned ordinals and their order are identical to
-/// the eager path's (including RNG consumption under
-/// [`GlobalStrategy::Random`]), which is what makes streaming output
-/// byte-identical.
+/// Selects the supporters to sanitize — `max(0, supporters − ψ)` of them,
+/// per `strategy` — from the per-supporter statistics of a
+/// [`SupporterIndex`](crate::SupporterIndex), the one form every driver
+/// selects from (the streaming pass 1 keeps nothing else). `stats` must
+/// be in database order. Returns victim ordinals in selection order; the
+/// RNG is consumed only under [`GlobalStrategy::Random`] with at least one
+/// victim.
 pub fn select_victims_from_stats<C: Count, R: Rng + ?Sized>(
     stats: &[SupporterStat<C>],
     psi: usize,
@@ -189,11 +133,24 @@ pub fn select_victims_from_stats<C: Count, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SupporterIndex;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use seqhide_match::supporters;
+    use seqhide_match::{supporters, MatchEngine, SensitiveSet};
     use seqhide_num::Sat64;
-    use seqhide_types::Sequence;
+    use seqhide_types::{Sequence, SequenceDb};
+
+    /// Selection as every driver runs it: scan into the index, select.
+    fn select_victims(
+        db: &SequenceDb,
+        sh: &SensitiveSet,
+        psi: usize,
+        strategy: GlobalStrategy,
+        rng: &mut SmallRng,
+    ) -> Vec<usize> {
+        let mut domain = MatchEngine::<Sat64>::new(sh);
+        SupporterIndex::scan(&mut domain, db.sequences(), strategy).select(psi, strategy, rng)
+    }
 
     /// db rows: 0 has 1 match, 1 has 4 matches, 2 has 2 matches, 3 none.
     fn setup() -> (SequenceDb, SensitiveSet) {
@@ -210,17 +167,16 @@ mod tests {
         assert_eq!(sup, vec![0, 1, 2]);
         let mut rng = SmallRng::seed_from_u64(0);
         // ψ = 1: sanitize 2 of 3; survivors must be the largest matching set (row 1).
-        let v = select_victims::<Sat64, _>(&db, &sh, &sup, 1, GlobalStrategy::Heuristic, &mut rng);
+        let v = select_victims(&db, &sh, 1, GlobalStrategy::Heuristic, &mut rng);
         assert_eq!(v, vec![0, 2]);
         // ψ = 0: everyone, cheapest first.
-        let v0 = select_victims::<Sat64, _>(&db, &sh, &sup, 0, GlobalStrategy::Heuristic, &mut rng);
+        let v0 = select_victims(&db, &sh, 0, GlobalStrategy::Heuristic, &mut rng);
         assert_eq!(v0, vec![0, 2, 1]);
     }
 
     #[test]
     fn psi_at_least_supporters_selects_none() {
         let (db, sh) = setup();
-        let sup = supporters(&db, &sh);
         let mut rng = SmallRng::seed_from_u64(0);
         for strategy in [
             GlobalStrategy::Heuristic,
@@ -228,9 +184,9 @@ mod tests {
             GlobalStrategy::AutoCorrelation,
             GlobalStrategy::Length,
         ] {
-            let v = select_victims::<Sat64, _>(&db, &sh, &sup, 3, strategy, &mut rng);
+            let v = select_victims(&db, &sh, 3, strategy, &mut rng);
             assert!(v.is_empty(), "{strategy:?}");
-            let v = select_victims::<Sat64, _>(&db, &sh, &sup, 10, strategy, &mut rng);
+            let v = select_victims(&db, &sh, 10, strategy, &mut rng);
             assert!(v.is_empty(), "{strategy:?}");
         }
     }
@@ -241,7 +197,7 @@ mod tests {
         let sup = supporters(&db, &sh);
         for seed in 0..10 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let v = select_victims::<Sat64, _>(&db, &sh, &sup, 1, GlobalStrategy::Random, &mut rng);
+            let v = select_victims(&db, &sh, 1, GlobalStrategy::Random, &mut rng);
             assert_eq!(v.len(), 2);
             assert!(v.iter().all(|i| sup.contains(i)));
             let mut uniq = v.clone();
@@ -254,9 +210,8 @@ mod tests {
     #[test]
     fn length_strategy_spares_longest() {
         let (db, sh) = setup();
-        let sup = supporters(&db, &sh);
         let mut rng = SmallRng::seed_from_u64(0);
-        let v = select_victims::<Sat64, _>(&db, &sh, &sup, 1, GlobalStrategy::Length, &mut rng);
+        let v = select_victims(&db, &sh, 1, GlobalStrategy::Length, &mut rng);
         // lengths: row0=2, row1=4, row2=3 ⇒ sanitize rows 0 and 2
         assert_eq!(v, vec![0, 2]);
     }
@@ -266,16 +221,8 @@ mod tests {
         let mut db = SequenceDb::parse("a b c d\na a a b\n");
         let s = Sequence::parse("a b", db.alphabet_mut());
         let sh = SensitiveSet::new(vec![s]);
-        let sup = supporters(&db, &sh);
         let mut rng = SmallRng::seed_from_u64(0);
-        let v = select_victims::<Sat64, _>(
-            &db,
-            &sh,
-            &sup,
-            1,
-            GlobalStrategy::AutoCorrelation,
-            &mut rng,
-        );
+        let v = select_victims(&db, &sh, 1, GlobalStrategy::AutoCorrelation, &mut rng);
         // row 1 (ratio 2/4) is more auto-correlated than row 0 (4/4)
         assert_eq!(v, vec![1]);
     }

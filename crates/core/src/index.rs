@@ -3,25 +3,37 @@
 //! intermediate to a first-class, mutable structure a sanitized dataset
 //! can own.
 //!
-//! All three drivers build on it:
+//! All three drivers build on it the same way: one scan
+//! ([`SupporterIndex::scan`] over a slice, [`SupporterIndex::record`] one
+//! sequence at a time), selection on the index, and the residual rule
+//! over the supporters it lists.
 //!
-//! - **Batch** ([`crate::Sanitizer::run`]) measures supporters eagerly
-//!   into an index and selects from it.
-//! - **Streaming** pass 1 ([`crate::Sanitizer::run_streaming`]) records
-//!   supporters one at a time while the sequences themselves are dropped.
+//! - **In memory** ([`crate::Sanitizer::run_domain_threaded`]) scans the
+//!   slice, selects, marks, and counts residuals over the index.
+//! - **Streaming** pass 1 ([`crate::Sanitizer::run_streaming_domain_from`])
+//!   records supporters one at a time while the sequences themselves are
+//!   dropped; pass 2 tallies residuals for the supporters only.
 //! - **Delta** ([`crate::DeltaState`]) keeps the index alive across
 //!   mutations: removals [`SupporterIndex::retain_remap`] it, additions
 //!   [`SupporterIndex::record`] onto the end, and re-selection runs on
 //!   the updated table without touching unaffected sequences.
 //!
+//! **The residual rule.** After a run, `residual[k]` counts the
+//! *supporters* whose released content supports pattern `k`. Victims are
+//! always supporters and nothing else is ever touched, so every other
+//! sequence keeps its original content, which by the supporter contract
+//! of [`PatternDomain::is_supporter`] supports no pattern. No route
+//! therefore re-probes the whole database; [`crate::verify_hidden_domain`]
+//! stays the independent full recount.
+//!
 //! The invariant throughout is *database order*: stats are held in
-//! ascending ordinal order, which is what makes
-//! [`select_victims_from_stats`] produce the same victims (and consume
-//! the RNG identically) as the historical eager selector.
+//! ascending ordinal order, so [`select_victims_from_stats`] produces the
+//! same victims (and consumes the RNG identically) on every route.
 
 use rand::Rng;
 use seqhide_match::PatternDomain;
 use seqhide_num::Count;
+use seqhide_obs::{self as obs, Counter, Phase};
 
 use crate::global::{select_victims_from_stats, GlobalStrategy, SupporterStat};
 
@@ -64,25 +76,9 @@ impl<C: Count> SupporterIndex<C> {
         index
     }
 
-    /// Measures supporters already identified by ordinal (the eager
-    /// selector's shape: the supporter scan happened elsewhere).
-    pub fn measure<D: PatternDomain<Count = C>>(
-        domain: &mut D,
-        supporters: &[usize],
-        db: &[D::Seq],
-        strategy: GlobalStrategy,
-    ) -> Self {
-        SupporterIndex::from_stats(
-            supporters
-                .iter()
-                .map(|&i| SupporterStat::measure_domain(domain, i, strategy, &db[i]))
-                .collect(),
-        )
-    }
-
     /// Probes one sequence and appends its stat if it supports a pattern
     /// (streaming pass 1's shape). `ordinal` must exceed every ordinal
-    /// already present.
+    /// already present (checked in debug builds).
     pub fn record<D: PatternDomain<Count = C>>(
         &mut self,
         domain: &mut D,
@@ -90,19 +86,14 @@ impl<C: Count> SupporterIndex<C> {
         strategy: GlobalStrategy,
         t: &D::Seq,
     ) {
-        if domain.is_supporter(t) {
-            self.push(SupporterStat::measure_domain(domain, ordinal, strategy, t));
-        }
-    }
-
-    /// Appends a pre-measured stat. `stat.ordinal` must exceed every
-    /// ordinal already present (checked in debug builds).
-    pub fn push(&mut self, stat: SupporterStat<C>) {
         debug_assert!(
-            self.stats.last().is_none_or(|s| s.ordinal < stat.ordinal),
+            self.stats.last().is_none_or(|s| s.ordinal < ordinal),
             "supporter stats must be appended in ascending database order"
         );
-        self.stats.push(stat);
+        if domain.is_supporter(t) {
+            let stat = SupporterStat::measure_domain(domain, ordinal, strategy, t);
+            self.stats.push(stat);
+        }
     }
 
     /// Number of supporters in the index.
@@ -128,10 +119,9 @@ impl<C: Count> SupporterIndex<C> {
             .is_ok()
     }
 
-    /// Runs victim selection on the index: the same comparators and the
-    /// same RNG stream as the historical eager selector
-    /// (`select_victims`), via the shared [`select_victims_from_stats`].
-    /// Returns victim database ordinals in selection order.
+    /// Runs victim selection on the index through the shared
+    /// [`select_victims_from_stats`]. Returns victim database ordinals in
+    /// selection order.
     pub fn select<R: Rng + ?Sized>(
         &self,
         psi: usize,
@@ -139,6 +129,23 @@ impl<C: Count> SupporterIndex<C> {
         rng: &mut R,
     ) -> Vec<usize> {
         select_victims_from_stats(&self.stats, psi, strategy, rng)
+    }
+
+    /// The residual rule: the support each pattern keeps in `released`,
+    /// counted over this index's supporters only (see the module docs for
+    /// why that is exact).
+    pub(crate) fn residual<D: PatternDomain<Count = C>>(
+        &self,
+        domain: &mut D,
+        released: &[D::Seq],
+    ) -> Vec<usize> {
+        let _span = obs::span(Phase::Verify);
+        obs::counter_add(Counter::PatternsChecked, domain.pattern_count() as u64);
+        let mut residual = vec![0; domain.pattern_count()];
+        for s in &self.stats {
+            tally(domain, &released[s.ordinal], &mut residual, true);
+        }
+        residual
     }
 
     /// Applies a removal-compaction to the index: `remap[old_ordinal]` is
@@ -155,6 +162,26 @@ impl<C: Count> SupporterIndex<C> {
             Some(&None) => false,
             None => unreachable!("supporter ordinal {} outside remap table", s.ordinal),
         });
+    }
+}
+
+/// The residual rule's one counting step: adds (`add`) or subtracts
+/// `t`'s contribution — one for each pattern its content supports — to
+/// `residual`.
+pub(crate) fn tally<D: PatternDomain>(
+    domain: &mut D,
+    t: &D::Seq,
+    residual: &mut [usize],
+    add: bool,
+) {
+    for (k, slot) in residual.iter_mut().enumerate() {
+        if domain.supports_pattern(t, k) {
+            *slot = if add {
+                *slot + 1
+            } else {
+                slot.checked_sub(1).expect("residual tally underflow")
+            };
+        }
     }
 }
 
@@ -186,23 +213,16 @@ mod tests {
     }
 
     #[test]
-    fn select_matches_eager_selector() {
+    fn select_spares_the_largest_matching_sets() {
+        // matching-set sizes 1, 4, 2: ψ = 1 spares row 1, cheapest first
         let (db, sh) = setup();
-        let sup = seqhide_match::supporters(&db, &sh);
         let mut domain = MatchEngine::<Sat64>::new(&sh);
         let index = SupporterIndex::scan(&mut domain, db.sequences(), GlobalStrategy::Heuristic);
-        let mut rng_a = SmallRng::seed_from_u64(7);
-        let mut rng_b = SmallRng::seed_from_u64(7);
-        let eager = crate::global::select_victims::<Sat64, _>(
-            &db,
-            &sh,
-            &sup,
-            1,
-            GlobalStrategy::Heuristic,
-            &mut rng_a,
+        let mut rng = SmallRng::seed_from_u64(7);
+        assert_eq!(
+            index.select(1, GlobalStrategy::Heuristic, &mut rng),
+            vec![0, 2]
         );
-        let indexed = index.select(1, GlobalStrategy::Heuristic, &mut rng_b);
-        assert_eq!(eager, indexed);
     }
 
     #[test]

@@ -24,7 +24,9 @@ use seqhide_match::{supports, PatternDomain, SensitiveSet};
 use seqhide_obs::{self as obs, Phase};
 use seqhide_types::{SequenceDb, Symbol};
 
+use crate::problem::DisclosureThresholds;
 use crate::sanitizer::Sanitizer;
+use crate::verify::verify_hidden_domain;
 
 /// Deletes every `Δ` from every sequence, returning the shortened database.
 ///
@@ -137,9 +139,8 @@ pub fn delete_markers_safe_domain<D: PatternDomain>(
             delete(t);
         }
         rounds += 1;
-        let hidden = (0..domain.pattern_count())
-            .all(|k| db.iter().filter(|t| domain.supports_pattern(t, k)).count() <= psi);
-        if hidden {
+        let thresholds = DisclosureThresholds::uniform(psi, domain.pattern_count());
+        if verify_hidden_domain(domain, db, &thresholds).hidden {
             return DeleteReport {
                 rounds,
                 extra_marks,

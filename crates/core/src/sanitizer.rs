@@ -6,15 +6,14 @@ use rand_chacha::ChaCha8Rng;
 use seqhide_match::{
     supporters, EngineStats, MatchEngine, PatternDomain, ScratchDomain, SensitiveSet,
 };
-use seqhide_num::{BigCount, Sat64};
+use seqhide_num::{BigCount, Count, Sat64};
 use seqhide_obs::{self as obs, Phase};
 use seqhide_types::{Sequence, SequenceDb};
 
-use crate::global::{select_victims, GlobalStrategy};
+use crate::global::GlobalStrategy;
 use crate::index::SupporterIndex;
 use crate::local::{sanitize_victim, EngineMode, LocalStrategy};
 use crate::problem::DisclosureThresholds;
-use crate::verify::verify_hidden_domain;
 
 /// Outcome of one sanitization run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -266,9 +265,10 @@ impl Sanitizer {
         self.drive_domain(db, &mut main, Some(make))
     }
 
-    /// The generic two-level driver: supporter scan → victim selection →
-    /// per-victim marking loop → residual verification, all through one
-    /// domain (`main`), with optional thread fan-out via `make`.
+    /// The generic two-level driver: one scan into a [`SupporterIndex`] →
+    /// victim selection → the one victim fan-out → the residual rule over
+    /// the supporters, all through one domain (`main`), with optional
+    /// thread fan-out via `make`.
     fn drive_domain<D: PatternDomain>(
         &self,
         db: &mut [D::Seq],
@@ -276,42 +276,49 @@ impl Sanitizer {
         make: Option<&(dyn Fn() -> D + Sync)>,
     ) -> SanitizeReport {
         let _span = obs::span(main.phase());
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let (supporters_before, victims) = self.select_victims_domain(db, main, &mut rng);
-        let (marks, stats) = self.sanitize_victims_domain(db, &victims, main, make);
-        let thresholds = DisclosureThresholds::uniform(self.psi, main.pattern_count());
-        let verify = verify_hidden_domain(main, db, &thresholds);
+        let index = SupporterIndex::scan(main, db, self.global);
+        let victims = self.select(&index);
+        let (marks, mut stats) = self.mark_slice(db, &by_ordinal(&victims), main, make);
+        let residual = index.residual(main, db);
+        stats += main.stats();
+        self.report(
+            marks.iter().sum(),
+            victims.len(),
+            index.len(),
+            residual,
+            stats,
+        )
+    }
+
+    /// Victim selection on a scanned index with the run's seed-keyed RNG:
+    /// database ordinals in selection order.
+    pub(crate) fn select<C: Count>(&self, index: &SupporterIndex<C>) -> Vec<usize> {
+        index.select(
+            self.psi,
+            self.global,
+            &mut ChaCha8Rng::seed_from_u64(self.seed),
+        )
+    }
+
+    /// The report of a run over `supporters` supporters that marked
+    /// `victims` of them with `marks` distortions in total.
+    pub(crate) fn report(
+        &self,
+        marks: usize,
+        victims: usize,
+        supporters: usize,
+        residual: Vec<usize>,
+        stats: EngineStats,
+    ) -> SanitizeReport {
         SanitizeReport {
             marks_introduced: marks,
-            sequences_sanitized: victims.len(),
-            supporters_before,
-            residual_supports: verify.supports,
-            hidden: verify.hidden,
+            sequences_sanitized: victims,
+            supporters_before: supporters,
+            hidden: residual.iter().all(|&s| s <= self.psi),
+            residual_supports: residual,
             engine_repairs: stats.cell_repairs as usize,
             fallback_recounts: stats.fallback_recounts as usize,
         }
-    }
-
-    /// Supporter scan + victim selection through the domain. Mirrors the
-    /// historical eager path exactly: when there are no more supporters
-    /// than `ψ`, nothing is measured and the RNG is left untouched.
-    fn select_victims_domain<D: PatternDomain>(
-        &self,
-        db: &[D::Seq],
-        domain: &mut D,
-        rng: &mut ChaCha8Rng,
-    ) -> (usize, Vec<usize>) {
-        let sup: Vec<usize> = (0..db.len())
-            .filter(|&i| domain.is_supporter(&db[i]))
-            .collect();
-        let victims = if sup.len() <= self.psi {
-            let _span = obs::span(Phase::SelectVictims);
-            Vec::new()
-        } else {
-            let index = SupporterIndex::measure(domain, &sup, db, self.global);
-            index.select(self.psi, self.global, rng)
-        };
-        (sup.len(), victims)
     }
 
     /// Per-victim RNG: independent of sibling victims and of the selection
@@ -324,10 +331,9 @@ impl Sanitizer {
 
     /// Sanitizes one victim through the domain's marking loop. `ordinal`
     /// is the victim's index in the *selection order* (the position
-    /// victim selection returned it at), not its database ordinal — the
-    /// streaming driver looks it up through a map for exactly this
-    /// reason.
-    pub(crate) fn sanitize_one_domain<D: PatternDomain>(
+    /// victim selection returned it at), not its database ordinal, so
+    /// the order victims are marked in cannot change their marks.
+    fn sanitize_one_domain<D: PatternDomain>(
         &self,
         domain: &mut D,
         t: &mut D::Seq,
@@ -337,103 +343,116 @@ impl Sanitizer {
         sanitize_victim(domain, t, self.local, &mut rng)
     }
 
-    /// Sanitizes the selected victims, sequentially through `main` or —
-    /// when `make` is given, more than one thread is configured, and
-    /// there is more than one victim — across scoped worker threads, each
-    /// with its own `make()`-built domain. Returns the marks introduced
-    /// and the engine work performed (summed over worker domains; zero
-    /// for domains without an incremental engine).
-    fn sanitize_victims_domain<D: PatternDomain>(
+    /// Marks the `victims` of `db` — `(database ordinal, selection
+    /// ordinal)` pairs in ascending database order, as [`by_ordinal`]
+    /// builds them — through [`Sanitizer::mark_victims`] under one
+    /// progress goal. Returns the marks of each victim, aligned with
+    /// `victims`, and the worker domains' engine work.
+    pub(crate) fn mark_slice<D: PatternDomain>(
         &self,
         db: &mut [D::Seq],
-        victims: &[usize],
+        victims: &[(usize, usize)],
         main: &mut D,
         make: Option<&(dyn Fn() -> D + Sync)>,
-    ) -> (usize, EngineStats) {
-        let threads = self.resolved_threads();
+    ) -> (Vec<usize>, EngineStats) {
         let label = main.progress_label();
         obs::progress::begin(label, victims.len() as u64);
+        let marked = self.mark_victims(victim_jobs(db, 0, victims), main, make);
+        obs::progress::finish(label);
+        marked
+    }
+
+    /// The one victim fan-out: marks every `(selection ordinal, sequence)`
+    /// job in place, sequentially through `main` or — when `make` is
+    /// given, more than one thread is configured, and there is more than
+    /// one job — across scoped worker threads, each with its own
+    /// `make()`-built domain. Returns the marks of each job (aligned with
+    /// `jobs`) and the engine work of the worker domains; work done
+    /// through `main` stays in `main.stats()` for the caller to add once.
+    pub(crate) fn mark_victims<D: PatternDomain>(
+        &self,
+        jobs: Vec<(usize, &mut D::Seq)>,
+        main: &mut D,
+        make: Option<&(dyn Fn() -> D + Sync)>,
+    ) -> (Vec<usize>, EngineStats) {
+        let threads = self.resolved_threads();
+        let label = main.progress_label();
+        let mut marks = vec![0; jobs.len()];
+        let mut stats = EngineStats::default();
         let make = match make {
-            Some(make) if threads > 1 && victims.len() > 1 => make,
+            Some(make) if threads > 1 && jobs.len() > 1 => make,
             _ => {
-                let mut marks = 0;
-                for (ordinal, &i) in victims.iter().enumerate() {
-                    marks += self.sanitize_one_domain(main, &mut db[i], ordinal);
+                for ((sel, t), m) in jobs.into_iter().zip(&mut marks) {
+                    *m = self.sanitize_one_domain(main, t, sel);
                     obs::progress::bump(label, 1);
                 }
-                obs::progress::finish(label);
-                return (marks, main.stats());
+                return (marks, stats);
             }
         };
-        // Move the victim sequences out and fan the work out over scoped
-        // threads. The global heuristic hands victims over in *ascending
-        // cost* order, so contiguous chunks would give the last thread all
-        // the expensive sequences; striping (ordinal % threads) balances
-        // the load instead.
-        let mut stripes: Vec<Vec<(usize, usize, D::Seq)>> =
+        // The global heuristic hands victims over in *ascending cost*
+        // order, so contiguous chunks would give the last thread all the
+        // expensive sequences; striping by selection ordinal balances the
+        // load instead.
+        let mut stripes: Vec<Vec<(&mut usize, usize, &mut D::Seq)>> =
             (0..threads).map(|_| Vec::new()).collect();
-        for (ordinal, &i) in victims.iter().enumerate() {
-            stripes[ordinal % threads].push((ordinal, i, std::mem::take(&mut db[i])));
+        for ((sel, t), m) in jobs.into_iter().zip(&mut marks) {
+            stripes[sel % threads].push((m, sel, t));
         }
-        let (marks, stats) = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = stripes
-                .iter_mut()
-                .map(|batch| {
+                .into_iter()
+                .map(|stripe| {
                     scope.spawn(move || {
-                        let mut marks = 0;
                         let mut domain = make();
-                        for (ordinal, _, t) in batch.iter_mut() {
-                            marks += self.sanitize_one_domain(&mut domain, t, *ordinal);
+                        for (m, sel, t) in stripe {
+                            *m = self.sanitize_one_domain(&mut domain, t, sel);
                             obs::progress::bump(label, 1);
                         }
-                        (marks, domain.stats())
+                        domain.stats()
                     })
                 })
                 .collect();
-            let mut marks = 0;
-            let mut stats = EngineStats::default();
             for h in handles {
-                let (m, s) = h.join().expect("sanitizer thread panicked");
-                marks += m;
-                stats += s;
+                stats += h.join().expect("sanitizer thread panicked");
             }
-            (marks, stats)
         });
-        for stripe in stripes {
-            for (_, i, t) in stripe {
-                db[i] = t;
-            }
-        }
-        obs::progress::finish(label);
         (marks, stats)
     }
 
-    /// [`Sanitizer::sanitize_victims_domain`] over the plain-pattern
-    /// domain the configuration picks (the per-round workhorse of
-    /// [`Sanitizer::run_multi`]).
-    fn sanitize_victims(
+    /// One round of [`Sanitizer::run_multi`]: scans `db` for the
+    /// supporters of `single`'s one pattern, selects all but `psi` of them
+    /// with the run's shared `rng`, and marks them through the one victim
+    /// fan-out. Returns the marks introduced, the engine work performed
+    /// and the victims.
+    fn multi_round(
         &self,
         db: &mut SequenceDb,
-        sh: &SensitiveSet,
-        victims: &[usize],
-    ) -> (usize, EngineStats) {
-        struct Victims<'a>(&'a Sanitizer, &'a mut SequenceDb, &'a [usize]);
-        impl PlainRun for Victims<'_> {
-            type Output = (usize, EngineStats);
+        single: &SensitiveSet,
+        psi: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> (usize, EngineStats, Vec<usize>) {
+        struct Round<'a>(&'a Sanitizer, &'a mut SequenceDb, usize, &'a mut ChaCha8Rng);
+        impl PlainRun for Round<'_> {
+            type Output = (usize, EngineStats, Vec<usize>);
             fn run<D: PatternDomain<Seq = Sequence>>(
                 self,
                 make: &(dyn Fn() -> D + Sync),
-            ) -> (usize, EngineStats) {
-                let Victims(sanitizer, db, victims) = self;
-                sanitizer.sanitize_victims_domain(
+            ) -> Self::Output {
+                let Round(sanitizer, db, psi, rng) = self;
+                let mut main = make();
+                let index = SupporterIndex::scan(&mut main, db.sequences(), sanitizer.global);
+                let victims = index.select(psi, sanitizer.global, rng);
+                let (marks, mut stats) = sanitizer.mark_slice(
                     db.sequences_mut(),
-                    victims,
-                    &mut make(),
+                    &by_ordinal(&victims),
+                    &mut main,
                     Some(make),
-                )
+                );
+                stats += main.stats();
+                (marks.iter().sum(), stats, victims)
             }
         }
-        self.with_plain_domain(sh, Victims(self, db, victims))
+        self.with_plain_domain(single, Round(self, db, psi, rng))
     }
 
     /// Multiple per-pattern thresholds via the paper's trivial reduction:
@@ -493,27 +512,8 @@ impl Sanitizer {
             }
             let Some((i, _)) = worst else { break };
             let single = SensitiveSet::from_patterns(vec![sh.patterns()[i].clone()]);
-            let sup = supporters(db, &single);
-            let victims = if self.exact {
-                select_victims::<BigCount, _>(
-                    db,
-                    &single,
-                    &sup,
-                    thresholds.get(i),
-                    self.global,
-                    &mut rng,
-                )
-            } else {
-                select_victims::<Sat64, _>(
-                    db,
-                    &single,
-                    &sup,
-                    thresholds.get(i),
-                    self.global,
-                    &mut rng,
-                )
-            };
-            let (round_marks, round_stats) = self.sanitize_victims(db, &single, &victims);
+            let (round_marks, round_stats, victims) =
+                self.multi_round(db, &single, thresholds.get(i), &mut rng);
             marks += round_marks;
             stats += round_stats;
             for &v in &victims {
@@ -543,6 +543,38 @@ impl Sanitizer {
             fallback_recounts: stats.fallback_recounts as usize,
         }
     }
+}
+
+/// `(database ordinal, selection ordinal)` for each victim, in ascending
+/// database order.
+pub(crate) fn by_ordinal(victims: &[usize]) -> Vec<(usize, usize)> {
+    let mut pairs: Vec<(usize, usize)> = victims
+        .iter()
+        .enumerate()
+        .map(|(sel, &i)| (i, sel))
+        .collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+/// The fan-out jobs for a run of sequences whose first has database
+/// ordinal `base`: `(selection ordinal, sequence)` for each of `victims`,
+/// which must ascend by database ordinal and fall inside `seqs`.
+pub(crate) fn victim_jobs<'a, S>(
+    seqs: &'a mut [S],
+    base: usize,
+    victims: &[(usize, usize)],
+) -> Vec<(usize, &'a mut S)> {
+    let mut rest = seqs.iter_mut();
+    let mut next = base;
+    victims
+        .iter()
+        .map(|&(ordinal, sel)| {
+            let t = rest.nth(ordinal - next).expect("victim inside the slice");
+            next = ordinal + 1;
+            (sel, t)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,20 +5,23 @@
 //! The paper's algorithm (§4) is naturally two-pass:
 //!
 //! 1. **Pass 1** streams the database once, keeping only a
-//!    [`SupporterStat`](crate::global::SupporterStat) per *supporting* sequence — the ordinal plus the
-//!    one statistic the global strategy sorts by (matching-set size for
-//!    the paper's heuristic, per Lemma 2) in a
-//!    [`SupporterIndex`]. Victim selection then runs on that small index
-//!    via [`crate::global::select_victims_from_stats`], which is the
-//!    exact code path [`select_victims`](crate::global::select_victims)
-//!    delegates to in memory.
+//!    [`SupporterStat`](crate::global::SupporterStat) per *supporting*
+//!    sequence — the ordinal plus the one statistic the global strategy
+//!    sorts by (matching-set size for the paper's heuristic, per Lemma 2)
+//!    in a [`SupporterIndex`]. Victim selection then runs on that small
+//!    index exactly as it does in memory, via
+//!    [`crate::global::select_victims_from_stats`].
 //! 2. **Pass 2** re-streams the file in batches of `batch_size`
-//!    sequences, routes the victims among them through the same
-//!    per-worker [`PatternDomain`] marking loop as [`Sanitizer::run`],
-//!    and writes every sequence (sanitized or untouched) to the sink as
-//!    soon as its batch completes. Residual supports are tallied on the
-//!    way out, so the run ends with a full [`SanitizeReport`] without a
-//!    third pass.
+//!    sequences, routes the victims among them through the same victim
+//!    fan-out as [`Sanitizer::run`], and writes every sequence (sanitized
+//!    or untouched) to the sink as soon as its batch completes. Residual
+//!    supports are tallied on the way out under the residual rule of
+//!    [`crate::index`]: only the supporters pass 1 recorded are probed,
+//!    every other sequence counts 0. The run ends with a full
+//!    [`SanitizeReport`] without a third pass. Pass 2 marks victims by
+//!    pass-1 ordinals, so a source that yields a different number of
+//!    sequences the second time fails the run with
+//!    [`io::ErrorKind::InvalidData`].
 //!
 //! Both passes are generic over the pattern class: a [`PatternDomain`]
 //! supplies counting, marking, and verification; a [`StreamCodec`]
@@ -41,7 +44,6 @@
 //! mark of resident batch bytes, and the CI memory-ceiling smoke asserts
 //! it stays sublinear in `|D|`.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
@@ -51,12 +53,8 @@ use seqhide_match::{EngineStats, PatternDomain, SensitiveSet};
 use seqhide_obs::{self as obs, Gauge, Phase};
 use seqhide_types::{Alphabet, Sequence};
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-use crate::index::SupporterIndex;
-use crate::sanitizer::{PlainRun, SanitizeReport, Sanitizer};
-use crate::verify::VerifyReport;
+use crate::index::{tally, SupporterIndex};
+use crate::sanitizer::{by_ordinal, victim_jobs, PlainRun, SanitizeReport, Sanitizer};
 
 /// Outcome of one streaming run: the same [`SanitizeReport`] the
 /// in-memory path produces, plus streaming-specific accounting.
@@ -72,18 +70,6 @@ pub struct StreamReport {
     /// High-water mark of resident batch payload bytes (also exported as
     /// the `peak_resident_batch` telemetry gauge).
     pub peak_batch_bytes: u64,
-}
-
-impl StreamReport {
-    /// The hiding verification implied by the report (pass 2 tallied the
-    /// residual supports, so no extra pass is needed).
-    pub fn verify(&self, psi: usize) -> VerifyReport {
-        VerifyReport {
-            hidden: self.report.hidden,
-            supports: self.report.residual_supports.clone(),
-            thresholds: vec![psi; self.report.residual_supports.len()],
-        }
-    }
 }
 
 /// Adapts a file path to the reader-factory contract of the `_from`
@@ -207,7 +193,6 @@ impl Sanitizer {
         K: StreamCodec<Seq = D::Seq>,
     {
         let batch_size = batch_size.max(1);
-        let strategy = self.global();
         let mut main = make();
 
         // Pass 1: supporter scan — retain (ordinal, sort key) per
@@ -218,41 +203,37 @@ impl Sanitizer {
             let mut index: SupporterIndex<D::Count> = SupporterIndex::new();
             let mut ordinal = 0usize;
             while let Some(t) = reader.next_record(codec, alphabet)? {
-                index.record(&mut main, ordinal, strategy, &t);
+                index.record(&mut main, ordinal, self.global(), &t);
                 ordinal += 1;
             }
             (index, ordinal)
         };
-        let supporters_before = index.len();
 
         // Victim selection on the small index — the same code path (and
-        // the same RNG stream) as the in-memory Sanitizer::run.
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed());
-        let victims = index.select(self.psi(), strategy, &mut rng);
-        drop(index);
-        // database ordinal → selection ordinal (the per-victim RNG key)
-        let selection_ordinal: HashMap<usize, usize> =
-            victims.iter().enumerate().map(|(o, &i)| (i, o)).collect();
+        // the same RNG stream) as the in-memory run.
+        let victims = self.select(&index);
+        let victim_pairs = by_ordinal(&victims);
+        let mut pending = &victim_pairs[..];
+        let mut supporters = index.stats().iter().map(|s| s.ordinal).peekable();
 
-        // Pass 2: batched sanitize + incremental write + residual tally.
+        // Pass 2: batched sanitize + incremental write + residual tally
+        // over the supporters.
         let _span = obs::span(Phase::StreamPass2);
-        obs::progress::begin("sanitize (stream)", victims.len() as u64);
+        let label = main.progress_label();
+        obs::progress::begin(label, victims.len() as u64);
         let mut reader = SeqReader::new(open()?);
-        let mut stats_total = EngineStats::default();
+        let mut stats = EngineStats::default();
         let mut residual = vec![0usize; main.pattern_count()];
         let mut marks = 0usize;
         let mut batches = 0usize;
         let mut peak_batch_bytes = 0u64;
-        let mut next_ordinal = 0usize;
-        let mut batch: Vec<(usize, D::Seq)> = Vec::with_capacity(batch_size);
+        let mut base = 0usize;
+        let mut batch: Vec<D::Seq> = Vec::with_capacity(batch_size);
         loop {
             batch.clear();
             while batch.len() < batch_size {
                 match reader.next_record(codec, alphabet)? {
-                    Some(t) => {
-                        batch.push((next_ordinal, t));
-                        next_ordinal += 1;
-                    }
+                    Some(t) => batch.push(t),
                     None => break,
                 }
             }
@@ -260,111 +241,43 @@ impl Sanitizer {
                 break;
             }
             batches += 1;
-            let bytes: u64 = batch.iter().map(|(_, t)| codec.resident_bytes(t)).sum();
+            let bytes: u64 = batch.iter().map(|t| codec.resident_bytes(t)).sum();
             peak_batch_bytes = peak_batch_bytes.max(bytes);
             obs::gauge_max(Gauge::PeakResidentBatch, bytes);
 
-            let threads = self.resolved_threads();
-            if threads <= 1 {
-                for (ordinal, t) in batch.iter_mut() {
-                    if let Some(&sel) = selection_ordinal.get(ordinal) {
-                        marks += self.sanitize_one_domain(&mut main, t, sel);
-                        obs::progress::bump("sanitize (stream)", 1);
-                    }
-                }
-            } else {
-                stats_total += self.sanitize_batch_parallel(
-                    &mut batch,
-                    make,
-                    &selection_ordinal,
-                    threads,
-                    &mut marks,
-                );
-            }
+            let end = base + batch.len();
+            let (here, rest) = pending.split_at(pending.partition_point(|&(i, _)| i < end));
+            pending = rest;
+            let (batch_marks, batch_stats) =
+                self.mark_victims(victim_jobs(&mut batch, base, here), &mut main, Some(make));
+            marks += batch_marks.iter().sum::<usize>();
+            stats += batch_stats;
 
-            for (_, t) in &batch {
-                for (pi, r) in residual.iter_mut().enumerate() {
-                    if main.supports_pattern(t, pi) {
-                        *r += 1;
-                    }
+            for (ordinal, t) in (base..).zip(&batch) {
+                if supporters.next_if_eq(&ordinal).is_some() {
+                    tally(&mut main, t, &mut residual, true);
                 }
                 codec.write_line(alphabet, t, &mut *sink)?;
             }
+            base = end;
         }
-        obs::progress::finish("sanitize (stream)");
-        stats_total += main.stats();
-        debug_assert_eq!(
-            next_ordinal, sequences_total,
-            "pass 2 re-read a different file"
-        );
-
-        let hidden = residual.iter().all(|&s| s <= self.psi());
+        obs::progress::finish(label);
+        if base != sequences_total {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "the source changed between passes: pass 1 read {sequences_total} \
+                     sequence(s), pass 2 read {base}"
+                ),
+            ));
+        }
+        stats += main.stats();
         Ok(StreamReport {
-            report: SanitizeReport {
-                marks_introduced: marks,
-                sequences_sanitized: victims.len(),
-                supporters_before,
-                residual_supports: residual,
-                hidden,
-                engine_repairs: stats_total.cell_repairs as usize,
-                fallback_recounts: stats_total.fallback_recounts as usize,
-            },
+            report: self.report(marks, victims.len(), index.len(), residual, stats),
             sequences_total,
             batches,
             peak_batch_bytes,
         })
-    }
-
-    /// Fans one batch's victims out over scoped threads, striped by
-    /// selection ordinal (the same balancing device as the in-memory
-    /// path). Per-victim RNGs keyed by selection ordinal make the result
-    /// independent of the striping.
-    fn sanitize_batch_parallel<D: PatternDomain>(
-        &self,
-        batch: &mut [(usize, D::Seq)],
-        make: &(dyn Fn() -> D + Sync),
-        selection_ordinal: &HashMap<usize, usize>,
-        threads: usize,
-        marks: &mut usize,
-    ) -> EngineStats {
-        let mut stripes: Vec<Vec<(usize, usize, D::Seq)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (slot, (ordinal, t)) in batch.iter_mut().enumerate() {
-            if let Some(&sel) = selection_ordinal.get(ordinal) {
-                stripes[sel % threads].push((sel, slot, std::mem::take(t)));
-            }
-        }
-        let (batch_marks, stats) = std::thread::scope(|scope| {
-            let handles: Vec<_> = stripes
-                .iter_mut()
-                .map(|stripe| {
-                    scope.spawn(move || {
-                        let mut marks = 0;
-                        let mut domain = make();
-                        for (sel, _, t) in stripe.iter_mut() {
-                            marks += self.sanitize_one_domain(&mut domain, t, *sel);
-                            obs::progress::bump("sanitize (stream)", 1);
-                        }
-                        (marks, domain.stats())
-                    })
-                })
-                .collect();
-            let mut marks = 0;
-            let mut stats = EngineStats::default();
-            for h in handles {
-                let (m, s) = h.join().expect("stream sanitizer thread panicked");
-                marks += m;
-                stats += s;
-            }
-            (marks, stats)
-        });
-        for stripe in stripes {
-            for (_, slot, t) in stripe {
-                batch[slot].1 = t;
-            }
-        }
-        *marks += batch_marks;
-        stats
     }
 }
 
@@ -489,6 +402,29 @@ mod tests {
             .map(|t| PlainCodec.resident_bytes(t))
             .sum();
         assert!(r.peak_batch_bytes < whole);
+    }
+
+    #[test]
+    fn a_source_that_changes_between_passes_is_an_error() {
+        // Pass 2 marks victims by pass-1 ordinals; a second open that
+        // yields one more line must fail the run, not release it.
+        let opens = std::cell::Cell::new(0);
+        let open = || -> io::Result<Box<dyn BufRead>> {
+            opens.set(opens.get() + 1);
+            let text = if opens.get() == 1 {
+                "a b\nb a\n"
+            } else {
+                "a b\nb a\na b\n"
+            };
+            Ok(Box::new(text.as_bytes()))
+        };
+        let mut alphabet = Alphabet::new();
+        let sh = SensitiveSet::new(vec![Sequence::parse("a b", &mut alphabet)]);
+        let err = Sanitizer::hh(0)
+            .run_streaming_from(&open, &mut alphabet, &sh, 1, &mut Vec::new())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(opens.get(), 2);
     }
 
     #[test]

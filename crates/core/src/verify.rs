@@ -66,10 +66,10 @@ pub fn verify_hidden_multi(
 
 /// [`verify_hidden_multi`] through a [`PatternDomain`]: re-checks
 /// `sup_{D}(Sᵢ) ≤ ψᵢ` per pattern with the domain's own support
-/// predicate. This is the verification path of the generic sanitizer —
-/// every pattern class (plain, itemset, timed, regex, spatiotemporal)
-/// shares it, so the `Verify` span and `PatternsChecked` counter behave
-/// identically across domains.
+/// predicate, probing every sequence of `db`. This is the independent
+/// full recount (post-delete re-verification, the tests); the sanitizer
+/// drivers count residual supports over the supporters only, under the
+/// residual rule of [`crate::index`].
 ///
 /// # Panics
 /// Panics if `thresholds.len() != domain.pattern_count()`.

@@ -70,7 +70,9 @@ pub enum LocalStrategy {
 ///   whichever the implementation needs);
 /// * **verification** —
 ///   [`supports_pattern`](PatternDomain::supports_pattern) re-checks
-///   residual support per pattern after sanitization.
+///   residual support per pattern after sanitization; it must agree with
+///   [`is_supporter`](PatternDomain::is_supporter) (the supporter
+///   contract stated there).
 ///
 /// # Statefulness contract
 ///
@@ -142,6 +144,12 @@ pub trait PatternDomain {
     /// Whether `t` supports at least one sensitive pattern. The default
     /// asks for the full count; implementations with a cheaper boolean
     /// check should override.
+    ///
+    /// **Supporter contract:** `is_supporter(t)` must equal
+    /// `(0..pattern_count()).any(|k| supports_pattern(t, k))` for every
+    /// `t`, marked or not. The core drivers count residual supports over
+    /// the supporters only and count every other sequence as 0, so a
+    /// domain that breaks this contract gets wrong residual supports.
     fn is_supporter(&mut self, t: &Self::Seq) -> bool {
         !self.matching_size(t).is_zero()
     }

@@ -48,7 +48,12 @@ pub enum Phase {
     EngineRepair,
     /// Buffered max-window recounts inside one repair pass.
     FallbackRecount,
-    /// Post-run hiding verification (`verify_hidden`).
+    /// Residual-support count of a run: in memory and on a delta cold
+    /// build, one probe of each supporter's released content per pattern
+    /// (non-supporters are never touched and count 0); also the
+    /// independent full recount of `verify_hidden` and post-delete
+    /// re-verification. A streamed run tallies its residuals inside
+    /// `stream_pass2` instead.
     Verify,
     /// Regex-pattern sanitization sweep.
     RegexSanitize,
