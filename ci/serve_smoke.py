@@ -139,7 +139,7 @@ def main():
     assert ok_count[0] > 0, "every request was shed; nothing verified"
 
     # The DistortOp wire field: a string-mode substitute release matches
-    # the CLI's `--domain string --op substitute` run byte for byte, and
+    # the CLI's `--mode string --op substitute` run byte for byte, and
     # an edit op on a mark-only mode is shed with a pointed error.
     (resp,) = rpc(
         addr,

@@ -228,8 +228,13 @@ fn main() {
                     .collect(),
             );
             released_stream = Vec::new();
+            let reopen = || -> std::io::Result<Box<dyn std::io::BufRead>> {
+                Ok(Box::new(std::io::BufReader::new(std::fs::File::open(
+                    &path,
+                )?)))
+            };
             sanitizer
-                .run_streaming(&path, &mut alphabet, &sh, 64, &mut released_stream)
+                .run_streaming_from(&reopen, &mut alphabet, &sh, 64, &mut released_stream)
                 .expect("streaming run");
             best_stream = best_stream.min(start.elapsed().as_nanos() as f64);
         }

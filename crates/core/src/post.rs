@@ -320,10 +320,7 @@ mod tests {
 
     #[test]
     fn timed_domain_delete_converges_without_resurrection() {
-        use crate::timed::{
-            sanitize_timed_db, supports_timed, TimeConstraints, TimeGap, TimedDomain, TimedPattern,
-        };
-        use crate::LocalStrategy;
+        use crate::timed::{supports_timed, TimeConstraints, TimeGap, TimedDomain, TimedPattern};
         use seqhide_num::Sat64;
         use seqhide_types::TimedSequence;
         // Deleting a marked event leaves every surviving tag unchanged, so
@@ -341,15 +338,11 @@ mod tests {
             TimedSequence::from_pairs([(0, 0), (1, 2)]),
             TimedSequence::from_pairs([(0, 0), (1, 9)]),
         ];
-        let r = sanitize_timed_db(
-            &mut db,
-            std::slice::from_ref(&p),
-            0,
-            LocalStrategy::Heuristic,
-            0,
-        );
-        assert!(r.hidden && r.marks_introduced >= 1);
         let mut domain = TimedDomain::<Sat64>::new(std::slice::from_ref(&p));
+        let r = Sanitizer::hh(0)
+            .with_seed(0)
+            .run_domain(&mut db, &mut domain);
+        assert!(r.hidden && r.marks_introduced >= 1);
         let report = delete_markers_safe_domain(
             &mut db,
             &mut domain,

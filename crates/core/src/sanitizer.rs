@@ -14,6 +14,7 @@ use crate::global::GlobalStrategy;
 use crate::index::SupporterIndex;
 use crate::local::{sanitize_victim, EngineMode, LocalStrategy};
 use crate::problem::DisclosureThresholds;
+use crate::verify::verify_hidden_multi;
 
 /// Outcome of one sanitization run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -499,18 +500,22 @@ impl Sanitizer {
         let mut marks = 0;
         let mut stats = EngineStats::default();
         let mut sanitized: Vec<usize> = Vec::new();
-        loop {
-            // Deficits under the current database state.
+        let verdict = loop {
+            // Deficits under the current database state; the first
+            // largest one goes next.
+            let verdict = verify_hidden_multi(db, sh, thresholds);
+            let deficits = verdict
+                .supports
+                .iter()
+                .zip(thresholds.as_slice())
+                .map(|(&sup, &psi)| sup.saturating_sub(psi));
             let mut worst: Option<(usize, usize)> = None; // (pattern, deficit)
-            for (i, p) in sh.iter().enumerate() {
-                let single = SensitiveSet::from_patterns(vec![p.clone()]);
-                let sup = supporters(db, &single).len();
-                let deficit = sup.saturating_sub(thresholds.get(i));
+            for (i, deficit) in deficits.enumerate() {
                 if deficit > 0 && worst.is_none_or(|(_, d)| deficit > d) {
                     worst = Some((i, deficit));
                 }
             }
-            let Some((i, _)) = worst else { break };
+            let Some((i, _)) = worst else { break verdict };
             let single = SensitiveSet::from_patterns(vec![sh.patterns()[i].clone()]);
             let (round_marks, round_stats, victims) =
                 self.multi_round(db, &single, thresholds.get(i), &mut rng);
@@ -521,24 +526,13 @@ impl Sanitizer {
                     sanitized.push(v);
                 }
             }
-        }
-        let residual: Vec<usize> = sh
-            .iter()
-            .map(|p| {
-                let single = SensitiveSet::from_patterns(vec![p.clone()]);
-                supporters(db, &single).len()
-            })
-            .collect();
-        let hidden = residual
-            .iter()
-            .zip(thresholds.as_slice())
-            .all(|(&s, &t)| s <= t);
+        };
         SanitizeReport {
             marks_introduced: marks,
             sequences_sanitized: sanitized.len(),
             supporters_before,
-            residual_supports: residual,
-            hidden,
+            residual_supports: verdict.supports,
+            hidden: verdict.hidden,
             engine_repairs: stats.cell_repairs as usize,
             fallback_recounts: stats.fallback_recounts as usize,
         }

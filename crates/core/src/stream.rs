@@ -9,8 +9,7 @@
 //!    sequence — the ordinal plus the one statistic the global strategy
 //!    sorts by (matching-set size for the paper's heuristic, per Lemma 2)
 //!    in a [`SupporterIndex`]. Victim selection then runs on that small
-//!    index exactly as it does in memory, via
-//!    [`crate::global::select_victims_from_stats`].
+//!    index exactly as it does in memory, via [`SupporterIndex::select`].
 //! 2. **Pass 2** re-streams the file in batches of `batch_size`
 //!    sequences, routes the victims among them through the same victim
 //!    fan-out as [`Sanitizer::run`], and writes every sequence (sanitized
@@ -25,14 +24,17 @@
 //!
 //! Both passes are generic over the pattern class: a [`PatternDomain`]
 //! supplies counting, marking, and verification; a [`StreamCodec`]
-//! supplies the line format. [`Sanitizer::run_streaming`] instantiates
-//! them for plain patterns; the hide pipeline in `seqhide-serve`'s `exec`
-//! module instantiates the same driver for every other pattern class.
+//! supplies the line format. [`Sanitizer::run_streaming_from`]
+//! instantiates them for plain patterns; the hide pipeline in
+//! `seqhide-serve`'s `exec` module instantiates the same driver,
+//! [`Sanitizer::run_streaming_domain_from`], for every other pattern
+//! class. Both read through a reader factory the caller owns — a file
+//! reopened per pass, a shard-store cursor, an in-memory slice.
 //!
 //! **Why the output is byte-identical to the in-memory path.** Every
 //! victim draws from an RNG derived from `(seed, selection ordinal)`
 //! (the invariant [`Sanitizer::with_threads`] documents), the selection
-//! ordinals come from the shared `select_victims_from_stats`, and victim
+//! ordinals come from the shared [`SupporterIndex::select`], and victim
 //! sequences are mutually independent — so neither batching, nor
 //! scheduling, nor engine reuse can change a single mark. The only state
 //! that scales with the database is the supporter index (ordinals of
@@ -44,9 +46,7 @@
 //! mark of resident batch bytes, and the CI memory-ceiling smoke asserts
 //! it stays sublinear in `|D|`.
 
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, Write};
-use std::path::Path;
+use std::io::{self, BufRead, Write};
 
 use seqhide_data::stream::{PlainCodec, SeqReader, StreamCodec};
 use seqhide_match::{EngineStats, PatternDomain, SensitiveSet};
@@ -72,41 +72,22 @@ pub struct StreamReport {
     pub peak_batch_bytes: u64,
 }
 
-/// Adapts a file path to the reader-factory contract of the `_from`
-/// entry points: each call reopens the file from the top.
-fn open_factory(input: &Path) -> impl Fn() -> io::Result<Box<dyn BufRead>> + '_ {
-    move || Ok(Box::new(BufReader::new(File::open(input)?)) as Box<dyn BufRead>)
-}
-
 impl Sanitizer {
-    /// Streams `input` through the two-pass pipeline, writing the
-    /// sanitized database to `sink` and keeping at most `batch_size`
-    /// sequences resident. `alphabet` must already contain the sensitive
-    /// patterns' symbols (it grows with the file's symbols as passes
-    /// proceed). Output and report are byte-identical to parsing the
-    /// whole file and calling [`Sanitizer::run`].
+    /// Streams the database `open` yields through the two-pass
+    /// pipeline, writing the sanitized database to `sink` and keeping at
+    /// most `batch_size` sequences resident. `open` is called once per
+    /// pass and must return a fresh reader over the same bytes each time
+    /// (a file reopen, a shard-store cursor, an in-memory slice).
+    /// `alphabet` must already contain the sensitive patterns' symbols (it
+    /// grows with the source's symbols as passes proceed). Output and
+    /// report are byte-identical to parsing the whole source and calling
+    /// [`Sanitizer::run`].
     ///
     /// This is the plain-pattern entry point: it dispatches the
     /// configured arithmetic and counting core to a [`PatternDomain`]
-    /// and hands off to [`Sanitizer::run_streaming_domain`].
+    /// and hands off to [`Sanitizer::run_streaming_domain_from`].
     ///
     /// `batch_size = 0` is clamped to 1.
-    pub fn run_streaming(
-        &self,
-        input: &Path,
-        alphabet: &mut Alphabet,
-        sh: &SensitiveSet,
-        batch_size: usize,
-        sink: &mut dyn Write,
-    ) -> io::Result<StreamReport> {
-        self.run_streaming_from(&open_factory(input), alphabet, sh, batch_size, sink)
-    }
-
-    /// [`Sanitizer::run_streaming`] over any rewindable source: `open`
-    /// is called once per pass and must return a fresh reader over the
-    /// same bytes each time (a file reopen, a shard-store cursor, an
-    /// in-memory slice). This is what lets the serve registry stream
-    /// disk-backed datasets without materializing them to a temp file.
     pub fn run_streaming_from(
         &self,
         open: &dyn Fn() -> io::Result<Box<dyn BufRead>>,
@@ -146,39 +127,15 @@ impl Sanitizer {
 
     /// The generic two-pass streaming driver: any [`PatternDomain`]
     /// (built per worker by `make`) paired with the [`StreamCodec`] for
-    /// its line format. Output and report are byte-identical to loading
-    /// the whole file and calling [`Sanitizer::run_domain_threaded`]
-    /// with the same `make` — both paths select victims through
-    /// [`crate::global::select_victims_from_stats`] and key each victim's RNG by its
-    /// *selection* ordinal, so batching and scheduling cannot change a
-    /// single mark.
+    /// its line format, over any rewindable source (see
+    /// [`Sanitizer::run_streaming_from`] for the `open` contract). Output
+    /// and report are byte-identical to loading the whole source and
+    /// calling [`Sanitizer::run_domain_threaded`] with the same `make` —
+    /// both paths select victims through [`SupporterIndex::select`] and
+    /// key each victim's RNG by its *selection* ordinal, so batching and
+    /// scheduling cannot change a single mark.
     ///
     /// `batch_size = 0` is clamped to 1.
-    pub fn run_streaming_domain<D, K>(
-        &self,
-        input: &Path,
-        alphabet: &mut Alphabet,
-        codec: &K,
-        make: &(dyn Fn() -> D + Sync),
-        batch_size: usize,
-        sink: &mut dyn Write,
-    ) -> io::Result<StreamReport>
-    where
-        D: PatternDomain,
-        K: StreamCodec<Seq = D::Seq>,
-    {
-        self.run_streaming_domain_from(
-            &open_factory(input),
-            alphabet,
-            codec,
-            make,
-            batch_size,
-            sink,
-        )
-    }
-
-    /// [`Sanitizer::run_streaming_domain`] over any rewindable source
-    /// (see [`Sanitizer::run_streaming_from`] for the `open` contract).
     pub fn run_streaming_domain_from<D, K>(
         &self,
         open: &dyn Fn() -> io::Result<Box<dyn BufRead>>,
@@ -286,12 +243,9 @@ mod tests {
     use super::*;
     use seqhide_types::{Sequence, SequenceDb};
 
-    fn write_tmp(name: &str, text: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("seqhide-core-stream");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        std::fs::write(&path, text).unwrap();
-        path
+    /// A reader factory over an in-memory database text.
+    fn source(text: &str) -> impl Fn() -> io::Result<Box<dyn BufRead>> + '_ {
+        move || Ok(Box::new(io::Cursor::new(text.as_bytes().to_vec())) as Box<dyn BufRead>)
     }
 
     /// Runs both paths on the same input and asserts byte + report parity.
@@ -302,7 +256,6 @@ mod tests {
         patterns: &[&str],
         batch: usize,
     ) {
-        let path = write_tmp(name, text);
         // in-memory
         let mut db = SequenceDb::parse(text);
         let sh = SensitiveSet::new(
@@ -322,7 +275,7 @@ mod tests {
         );
         let mut out = Vec::new();
         let stream = sanitizer
-            .run_streaming(&path, &mut alphabet, &sh_s, batch, &mut out)
+            .run_streaming_from(&source(text), &mut alphabet, &sh_s, batch, &mut out)
             .unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),
@@ -338,7 +291,7 @@ mod tests {
         let text = "a b c\nb a c\nc a b c\na c\nb b\nc a\na b a c\n";
         for batch in [1, 2, 3, 100] {
             assert_parity(
-                &format!("hh-{batch}.seq"),
+                &format!("hh-{batch}"),
                 text,
                 &Sanitizer::hh(1),
                 &["a c"],
@@ -351,7 +304,7 @@ mod tests {
     fn streaming_matches_in_memory_random_strategies() {
         let text = "a b c\nb a c\nc a b c\na c\nb b\nc a\na b a c\n";
         for make in [Sanitizer::hr, Sanitizer::rh, Sanitizer::rr] {
-            assert_parity("rand.seq", text, &make(1).with_seed(42), &["a c"], 2);
+            assert_parity("rand", text, &make(1).with_seed(42), &["a c"], 2);
         }
     }
 
@@ -359,7 +312,7 @@ mod tests {
     fn streaming_matches_in_memory_threaded() {
         let text = "a b c\nb a c\nc a b c\na c\nb b\nc a\na b a c\n";
         assert_parity(
-            "threads.seq",
+            "threads",
             text,
             &Sanitizer::rr(0).with_seed(9).with_threads(3),
             &["a c"],
@@ -370,12 +323,11 @@ mod tests {
     #[test]
     fn no_supporters_is_a_clean_copy() {
         let text = "a b\nb c\n";
-        let path = write_tmp("nosup.seq", text);
         let mut alphabet = Alphabet::new();
         let sh = SensitiveSet::new(vec![Sequence::parse("z z", &mut alphabet)]);
         let mut out = Vec::new();
         let r = Sanitizer::hh(0)
-            .run_streaming(&path, &mut alphabet, &sh, 4, &mut out)
+            .run_streaming_from(&source(text), &mut alphabet, &sh, 4, &mut out)
             .unwrap();
         assert_eq!(String::from_utf8(out).unwrap(), text);
         assert!(r.report.hidden);
@@ -386,12 +338,11 @@ mod tests {
     #[test]
     fn peak_batch_bytes_is_bounded_by_batch_size() {
         let text = "a b\n".repeat(64);
-        let path = write_tmp("peak.seq", &text);
         let mut alphabet = Alphabet::new();
         let sh = SensitiveSet::new(vec![Sequence::parse("a b", &mut alphabet)]);
         let mut out = Vec::new();
         let r = Sanitizer::hh(0)
-            .run_streaming(&path, &mut alphabet, &sh, 4, &mut out)
+            .run_streaming_from(&source(&text), &mut alphabet, &sh, 4, &mut out)
             .unwrap();
         assert_eq!(r.batches, 16);
         // 4 sequences × 2 symbols × 4 bytes
@@ -429,12 +380,11 @@ mod tests {
 
     #[test]
     fn batch_size_zero_is_clamped() {
-        let path = write_tmp("clamp.seq", "a b\n");
         let mut alphabet = Alphabet::new();
         let sh = SensitiveSet::new(vec![Sequence::parse("a b", &mut alphabet)]);
         let mut out = Vec::new();
         let r = Sanitizer::hh(0)
-            .run_streaming(&path, &mut alphabet, &sh, 0, &mut out)
+            .run_streaming_from(&source("a b\n"), &mut alphabet, &sh, 0, &mut out)
             .unwrap();
         assert_eq!(r.batches, 1);
         assert!(r.report.hidden);

@@ -7,6 +7,13 @@
 //! tags are non-decreasing, a time interval maps to a *contiguous index
 //! range*, so the same prefix-sum DP applies via
 //! [`seqhide_match::ending_at_table_bounded_by`].
+//!
+//! [`TimedDomain`] is the pattern class's [`PatternDomain`]: a database
+//! is sanitized by [`Sanitizer::run_domain`](crate::Sanitizer::run_domain)
+//! or [`Sanitizer::run_domain_threaded`](crate::Sanitizer::run_domain_threaded)
+//! with it, one victim by [`sanitize_victim`](crate::sanitize_victim).
+//! Marked events keep their time tags (a marked event still occupies its
+//! instant).
 
 use rand::Rng;
 use seqhide_match::counting::ending_at_table_bounded_into;
@@ -16,9 +23,7 @@ use seqhide_num::{Count, Sat64};
 use seqhide_obs::Phase;
 use seqhide_types::{Sequence, Symbol, TimeTag, TimedSequence};
 
-use crate::global::GlobalStrategy;
-use crate::local::{sanitize_victim, LocalStrategy};
-use crate::sanitizer::Sanitizer;
+use crate::local::LocalStrategy;
 
 /// A time-gap constraint on one pattern arrow: the elapsed time between
 /// consecutive matched events must lie in `[min, max]` ticks.
@@ -335,59 +340,10 @@ impl<C: Count> PatternDomain for TimedDomain<'_, C> {
     }
 }
 
-/// Sanitizes one timed sequence until no occurrence remains; returns marks
-/// introduced. Time tags of marked events are preserved (a marked event
-/// still occupies its instant). A thin wrapper over the generic
-/// [`sanitize_victim`] loop with a fresh [`TimedDomain`].
-pub fn sanitize_timed_sequence<R: Rng + ?Sized>(
-    t: &mut TimedSequence,
-    patterns: &[TimedPattern],
-    strategy: LocalStrategy,
-    rng: &mut R,
-) -> usize {
-    sanitize_victim(&mut TimedDomain::<Sat64>::new(patterns), t, strategy, rng)
-}
-
-/// Report of a timed-database sanitization.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TimedSanitizeReport {
-    /// Event marks introduced.
-    pub marks_introduced: usize,
-    /// Sequences sanitized.
-    pub sequences_sanitized: usize,
-    /// Post-sanitization support of each pattern.
-    pub residual_supports: Vec<usize>,
-    /// Whether every pattern ended at or below `ψ`.
-    pub hidden: bool,
-}
-
-/// Sanitizes a database of timed sequences (global rule: ascending
-/// matching-set size, spare the `ψ` most expensive supporters). A thin
-/// wrapper over the generic [`Sanitizer`] driver with a [`TimedDomain`];
-/// victims draw from per-victim seed-derived RNGs keyed by selection
-/// ordinal, so the result is identical to the streaming path on the same
-/// input.
-pub fn sanitize_timed_db(
-    db: &mut [TimedSequence],
-    patterns: &[TimedPattern],
-    psi: usize,
-    strategy: LocalStrategy,
-    seed: u64,
-) -> TimedSanitizeReport {
-    let report = Sanitizer::new(strategy, GlobalStrategy::Heuristic, psi)
-        .with_seed(seed)
-        .run_domain(db, &mut TimedDomain::<Sat64>::new(patterns));
-    TimedSanitizeReport {
-        marks_introduced: report.marks_introduced,
-        sequences_sanitized: report.sequences_sanitized,
-        hidden: report.hidden,
-        residual_supports: report.residual_supports,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{sanitize_victim, Sanitizer};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use seqhide_types::Alphabet;
@@ -459,14 +415,15 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_timed_sequence_clears_and_preserves_tags() {
+    fn timed_victim_clears_and_preserves_tags() {
         let mut sigma = Alphabet::new();
         let p = pat("a b", &mut sigma, TimeConstraints::none());
         let mut t = TimedSequence::from_pairs([(0, 0), (0, 1), (1, 2)]);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let marks = sanitize_timed_sequence(
+        let patterns = std::slice::from_ref(&p);
+        let marks = sanitize_victim(
+            &mut TimedDomain::<Sat64>::new(patterns),
             &mut t,
-            std::slice::from_ref(&p),
             LocalStrategy::Heuristic,
             &mut rng,
         );
@@ -483,9 +440,10 @@ mod tests {
         // only (a@10, b@11) is within the 2-tick window
         let mut t = TimedSequence::from_pairs([(0, 0), (1, 5), (0, 10), (1, 11)]);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let marks = sanitize_timed_sequence(
+        let patterns = std::slice::from_ref(&p);
+        let marks = sanitize_victim(
+            &mut TimedDomain::<Sat64>::new(patterns),
             &mut t,
-            std::slice::from_ref(&p),
             LocalStrategy::Heuristic,
             &mut rng,
         );
@@ -505,7 +463,9 @@ mod tests {
             TimedSequence::from_pairs([(0, 0), (0, 1), (1, 2)]),
             TimedSequence::from_pairs([(2, 0)]),
         ];
-        let report = sanitize_timed_db(&mut db, &[p], 1, LocalStrategy::Heuristic, 0);
+        let report = Sanitizer::hh(1)
+            .with_seed(0)
+            .run_domain(&mut db, &mut TimedDomain::<Sat64>::new(&[p]));
         assert!(report.hidden);
         assert_eq!(report.residual_supports, vec![1]);
         assert_eq!(report.sequences_sanitized, 1);

@@ -1,7 +1,8 @@
 //! Verification of the hiding requirement and side-effect audits.
 
-use seqhide_match::{supporters, PatternDomain, SensitivePattern, SensitiveSet};
+use seqhide_match::{MatchEngine, PatternDomain, SensitivePattern, SensitiveSet};
 use seqhide_mine::MineResult;
+use seqhide_num::Sat64;
 use seqhide_obs::{self as obs, Counter, Phase};
 use seqhide_types::{Sequence, SequenceDb};
 
@@ -34,7 +35,8 @@ pub fn verify_hidden(db: &SequenceDb, sh: &SensitiveSet, psi: usize) -> VerifyRe
     verify_hidden_multi(db, sh, &DisclosureThresholds::uniform(psi, sh.len()))
 }
 
-/// Per-pattern-threshold variant of [`verify_hidden`].
+/// Per-pattern-threshold variant of [`verify_hidden`]: the plain
+/// patterns' [`verify_hidden_domain`], through a [`MatchEngine`].
 ///
 /// # Panics
 /// Panics if `thresholds.len() != sh.len()`.
@@ -43,33 +45,20 @@ pub fn verify_hidden_multi(
     sh: &SensitiveSet,
     thresholds: &DisclosureThresholds,
 ) -> VerifyReport {
-    assert_eq!(thresholds.len(), sh.len(), "one threshold per pattern");
-    let _span = obs::span(Phase::Verify);
-    obs::counter_add(Counter::PatternsChecked, sh.len() as u64);
-    let supports: Vec<usize> = sh
-        .iter()
-        .map(|p| {
-            let single = SensitiveSet::from_patterns(vec![p.clone()]);
-            supporters(db, &single).len()
-        })
-        .collect();
-    let hidden = supports
-        .iter()
-        .zip(thresholds.as_slice())
-        .all(|(&s, &t)| s <= t);
-    VerifyReport {
-        hidden,
-        supports,
-        thresholds: thresholds.as_slice().to_vec(),
-    }
+    verify_hidden_domain(
+        &mut MatchEngine::<Sat64>::new(sh),
+        db.sequences(),
+        thresholds,
+    )
 }
 
-/// [`verify_hidden_multi`] through a [`PatternDomain`]: re-checks
-/// `sup_{D}(Sᵢ) ≤ ψᵢ` per pattern with the domain's own support
-/// predicate, probing every sequence of `db`. This is the independent
-/// full recount (post-delete re-verification, the tests); the sanitizer
-/// drivers count residual supports over the supporters only, under the
-/// residual rule of [`crate::index`].
+/// Re-checks `sup_{D}(Sᵢ) ≤ ψᵢ` per pattern with a [`PatternDomain`]'s
+/// own support predicate, probing every sequence of `db`. This is the
+/// independent full recount (`seqhide verify`, post-delete
+/// re-verification, the per-pattern scheduler
+/// [`crate::Sanitizer::run_multi`], the tests); the sanitizer drivers
+/// count residual supports over the supporters only, under the residual
+/// rule of [`crate::index`].
 ///
 /// # Panics
 /// Panics if `thresholds.len() != domain.pattern_count()`.

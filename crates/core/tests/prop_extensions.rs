@@ -3,14 +3,13 @@
 //! enumeration, and the multi-threshold scheduler contract.
 
 use proptest::prelude::*;
-use seqhide_core::itemset::sanitize_itemset_db;
 use seqhide_core::timed::{
-    count_matches_timed, delta_timed, sanitize_timed_db, supports_timed, TimeConstraints, TimeGap,
-    TimedPattern,
+    count_matches_timed, delta_timed, supports_timed, TimeConstraints, TimeGap, TimedPattern,
 };
-use seqhide_core::{DisclosureThresholds, LocalStrategy, Sanitizer};
+use seqhide_core::{DisclosureThresholds, Sanitizer, TimedDomain};
 use seqhide_match::itemset::{count_matches_itemset, supports_itemset, ItemsetPattern};
-use seqhide_match::{supporters, SensitiveSet};
+use seqhide_match::{supporters, ItemsetMatchEngine, SensitiveSet};
+use seqhide_num::Sat64;
 use seqhide_types::{ItemsetSequence, Sequence, SequenceDb, TimedSequence};
 
 // ───────────────────────── timed events ─────────────────────────
@@ -133,12 +132,9 @@ proptest! {
                 TimedSequence::from_pairs(evs)
             })
             .collect();
-        let report = sanitize_timed_db(
+        let report = Sanitizer::hh(psi).with_seed(0).run_domain(
             &mut db,
-            std::slice::from_ref(&p),
-            psi,
-            LocalStrategy::Heuristic,
-            0,
+            &mut TimedDomain::<Sat64>::new(std::slice::from_ref(&p)),
         );
         prop_assert!(report.hidden);
         let survivors = db.iter().filter(|t| supports_timed(t, &p)).count();
@@ -199,12 +195,9 @@ proptest! {
     ) {
         let p = ItemsetPattern::unconstrained(ItemsetSequence::from_ids(pat)).unwrap();
         let mut db = rows.clone();
-        let report = sanitize_itemset_db(
+        let report = Sanitizer::hh(psi).with_seed(0).run_domain(
             &mut db,
-            std::slice::from_ref(&p),
-            psi,
-            LocalStrategy::Heuristic,
-            0,
+            &mut ItemsetMatchEngine::<Sat64>::new(std::slice::from_ref(&p)),
         );
         prop_assert!(report.hidden);
         prop_assert!(db.iter().filter(|t| supports_itemset(t, &p)).count() <= psi);

@@ -89,12 +89,16 @@ proptest! {
         pat in prop::collection::vec(prop::collection::vec(0u32..3, 1..=2), 1..=2),
         sigma in 1usize..3,
     ) {
-        use seqhide_core::itemset::sanitize_itemset_db;
-        use seqhide_core::LocalStrategy;
+        use seqhide_core::Sanitizer;
+        use seqhide_match::ItemsetMatchEngine;
+        use seqhide_num::Sat64;
         let pattern = ItemsetPattern::unconstrained(ItemsetSequence::from_ids(pat)).unwrap();
         let before = ItemsetMiner::mine(&db, &MinerConfig::new(sigma).with_max_len(3));
         let mut work = db.clone();
-        sanitize_itemset_db(&mut work, std::slice::from_ref(&pattern), 0, LocalStrategy::Heuristic, 0);
+        Sanitizer::hh(0).with_seed(0).run_domain(
+            &mut work,
+            &mut ItemsetMatchEngine::<Sat64>::new(std::slice::from_ref(&pattern)),
+        );
         let after = ItemsetMiner::mine(&work, &MinerConfig::new(sigma).with_max_len(3));
         let before_keys: Vec<String> =
             before.patterns.iter().map(|p| format!("{:?}", p.seq)).collect();

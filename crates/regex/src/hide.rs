@@ -1,24 +1,21 @@
 //! Sanitization for regex patterns: the paper's two-level algorithm with
 //! the marking-device `δ`, expressed as a [`PatternDomain`] so the
 //! generic drivers of `seqhide-core` (in-memory, threaded, streaming) all
-//! work on regex databases unchanged.
+//! work on regex databases unchanged: a database is sanitized by
+//! [`Sanitizer::run_domain`](seqhide_core::Sanitizer::run_domain) or
+//! [`Sanitizer::run_domain_threaded`](seqhide_core::Sanitizer::run_domain_threaded)
+//! with a [`RegexDomain`], one victim by
+//! [`sanitize_victim`](seqhide_core::sanitize_victim).
 
 use rand::Rng;
-use seqhide_core::{sanitize_victim, GlobalStrategy, LocalStrategy, PatternDomain, Sanitizer};
+use seqhide_core::{LocalStrategy, PatternDomain};
 use seqhide_match::delta::argmax_delta;
 use seqhide_num::{Count, Sat64};
 use seqhide_obs::Phase;
-use seqhide_types::{Sequence, SequenceDb, Symbol};
+use seqhide_types::{Sequence, Symbol};
 
 use crate::count::{delta_by_marking_re_into, matching_size_re, supports_re};
 use crate::RegexPattern;
-
-/// How positions are chosen. Historically this crate kept its own enum to
-/// avoid depending on the core crate; the [`PatternDomain`] unification
-/// made that dependency real, so this is now an alias for the shared
-/// [`LocalStrategy`] (variant paths like `ReLocalStrategy::Heuristic`
-/// keep working).
-pub type ReLocalStrategy = LocalStrategy;
 
 /// The [`PatternDomain`] of regex patterns: support and `δ` through the
 /// DFA counting DP of `crate::count`, with the constraint-safe marking
@@ -113,61 +110,25 @@ impl<C: Count> PatternDomain for RegexDomain<'_, C> {
     }
 }
 
-/// Sanitizes one sequence until no regex occurrence remains; returns marks
-/// introduced. A thin wrapper over the generic [`sanitize_victim`] loop
-/// with a fresh [`RegexDomain`].
-pub fn sanitize_regex_sequence<R: Rng + ?Sized>(
-    t: &mut Sequence,
-    patterns: &[RegexPattern],
-    strategy: ReLocalStrategy,
-    rng: &mut R,
-) -> usize {
-    sanitize_victim(&mut RegexDomain::<Sat64>::new(patterns), t, strategy, rng)
-}
-
-/// Report of a regex-database sanitization.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RegexSanitizeReport {
-    /// Marks introduced (M1).
-    pub marks_introduced: usize,
-    /// Sequences sanitized.
-    pub sequences_sanitized: usize,
-    /// Post-sanitization support of each pattern.
-    pub residual_supports: Vec<usize>,
-    /// Whether every pattern ended at or below `ψ`.
-    pub hidden: bool,
-}
-
-/// Sanitizes a database so every regex pattern's support is ≤ `ψ` (global
-/// rule: ascending occurrence count, spare the `ψ` most expensive
-/// supporters — the paper's heuristic verbatim). A thin wrapper over the
-/// generic [`Sanitizer`] driver with a [`RegexDomain`]; victims draw from
-/// per-victim seed-derived RNGs keyed by selection ordinal, so the result
-/// is identical to the streaming path on the same input.
-pub fn sanitize_regex_db(
-    db: &mut SequenceDb,
-    patterns: &[RegexPattern],
-    psi: usize,
-    strategy: ReLocalStrategy,
-    seed: u64,
-) -> RegexSanitizeReport {
-    let report = Sanitizer::new(strategy, GlobalStrategy::Heuristic, psi)
-        .with_seed(seed)
-        .run_domain(db.sequences_mut(), &mut RegexDomain::<Sat64>::new(patterns));
-    RegexSanitizeReport {
-        marks_introduced: report.marks_introduced,
-        sequences_sanitized: report.sequences_sanitized,
-        hidden: report.hidden,
-        residual_supports: report.residual_supports,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use seqhide_types::Alphabet;
+    use seqhide_core::{sanitize_victim, SanitizeReport, Sanitizer};
+    use seqhide_types::{Alphabet, SequenceDb};
+
+    /// `sanitizer` over the regex domain, seeded with `seed`.
+    fn sanitize_db(
+        sanitizer: Sanitizer,
+        db: &mut SequenceDb,
+        patterns: &[RegexPattern],
+        seed: u64,
+    ) -> SanitizeReport {
+        sanitizer
+            .with_seed(seed)
+            .run_domain(db.sequences_mut(), &mut RegexDomain::<Sat64>::new(patterns))
+    }
 
     #[test]
     fn sanitize_sequence_minimal_marks() {
@@ -176,10 +137,11 @@ mod tests {
         let mut t = Sequence::parse("a b c", &mut sigma);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         // both tuples go through position 0 (the a): one mark suffices
-        let marks = sanitize_regex_sequence(
+        let patterns = std::slice::from_ref(&re);
+        let marks = sanitize_victim(
+            &mut RegexDomain::<Sat64>::new(patterns),
             &mut t,
-            std::slice::from_ref(&re),
-            ReLocalStrategy::Heuristic,
+            LocalStrategy::Heuristic,
             &mut rng,
         );
         assert_eq!(marks, 1);
@@ -191,13 +153,7 @@ mod tests {
     fn sanitize_db_respects_psi() {
         let mut db = SequenceDb::parse("a b\na c\na b c\nx y\n");
         let re = RegexPattern::compile("a (b | c)", db.alphabet_mut()).unwrap();
-        let report = sanitize_regex_db(
-            &mut db,
-            std::slice::from_ref(&re),
-            1,
-            ReLocalStrategy::Heuristic,
-            0,
-        );
+        let report = sanitize_db(Sanitizer::hh(1), &mut db, std::slice::from_ref(&re), 0);
         assert!(report.hidden);
         assert_eq!(report.residual_supports, vec![1]);
         assert_eq!(report.sequences_sanitized, 2);
@@ -209,7 +165,7 @@ mod tests {
         for seed in 0..10 {
             let mut db = SequenceDb::parse("a b a b\nb a b a\na a b b\n");
             let re = RegexPattern::compile("a b+", db.alphabet_mut()).unwrap();
-            let report = sanitize_regex_db(&mut db, &[re], 0, ReLocalStrategy::Random, seed);
+            let report = sanitize_db(Sanitizer::rh(0), &mut db, &[re], seed);
             assert!(report.hidden, "seed {seed}");
             assert_eq!(report.residual_supports, vec![0]);
         }
@@ -219,13 +175,7 @@ mod tests {
     fn plus_patterns_hide() {
         let mut db = SequenceDb::parse("a a a\na a\nb b\n");
         let re = RegexPattern::compile("a a+", db.alphabet_mut()).unwrap();
-        let report = sanitize_regex_db(
-            &mut db,
-            std::slice::from_ref(&re),
-            0,
-            ReLocalStrategy::Heuristic,
-            0,
-        );
+        let report = sanitize_db(Sanitizer::hh(0), &mut db, std::slice::from_ref(&re), 0);
         assert!(report.hidden);
         for t in db.sequences() {
             assert!(!supports_re(t, &re));
@@ -234,24 +184,23 @@ mod tests {
         assert!(db.sequences()[0].mark_count() <= 2);
     }
 
-    /// The domain and the db wrapper must agree with the streaming-parity
-    /// invariant's building block: driving the generic loop by hand gives
-    /// the same marks as the wrapper.
+    /// The streaming-parity invariant's building block: driving the
+    /// generic loop on one thread gives the same marks as fanning the
+    /// victims out over worker domains.
     #[test]
-    fn domain_drives_identically_to_wrapper() {
+    fn threaded_domain_drives_identically() {
         let mut db1 = SequenceDb::parse("a b\na c\na b c\n");
         let mut db2 = db1.clone();
         let re = RegexPattern::compile("a (b | c)", db1.alphabet_mut()).unwrap();
         let patterns = vec![re];
-        let r1 = sanitize_regex_db(&mut db1, &patterns, 0, ReLocalStrategy::Heuristic, 7);
-        let r2 = Sanitizer::new(LocalStrategy::Heuristic, GlobalStrategy::Heuristic, 0)
+        let r1 = sanitize_db(Sanitizer::hh(0), &mut db1, &patterns, 7);
+        let r2 = Sanitizer::hh(0)
             .with_seed(7)
-            .run_domain(
-                db2.sequences_mut(),
-                &mut RegexDomain::<Sat64>::new(&patterns),
-            );
-        assert_eq!(r1.marks_introduced, r2.marks_introduced);
-        assert_eq!(r1.residual_supports, r2.residual_supports);
+            .with_threads(2)
+            .run_domain_threaded(db2.sequences_mut(), &|| {
+                RegexDomain::<Sat64>::new(&patterns)
+            });
+        assert_eq!(r1, r2);
         assert_eq!(db1.to_text(), db2.to_text());
     }
 }

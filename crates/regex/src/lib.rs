@@ -38,7 +38,9 @@
 //! `O(n·|Q|)` with per-state prefix sums. Uniform min/max-gap and
 //! max-window occurrence constraints (§5) apply unchanged, and `δ(T[i])`
 //! uses the constraint-safe *marking* device, so the paper's HH machinery
-//! works verbatim on regex patterns ([`sanitize_regex_db`]).
+//! works verbatim on regex patterns: [`RegexDomain`] is the pattern
+//! class's `PatternDomain`, driven by `seqhide-core`'s `Sanitizer` like
+//! every other class.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,9 +56,7 @@ pub use count::{
     count_occurrences, delta_by_marking_re, delta_by_marking_re_into, matching_size_re, supports_re,
 };
 pub use dfa::Dfa;
-pub use hide::{
-    sanitize_regex_db, sanitize_regex_sequence, ReLocalStrategy, RegexDomain, RegexSanitizeReport,
-};
+pub use hide::RegexDomain;
 pub use parser::parse;
 
 use seqhide_match::{ConstraintSet, Gap};

@@ -2,10 +2,10 @@
 //! enumeration, and the sanitizer contract.
 
 use proptest::prelude::*;
+use seqhide_core::{sanitize_victim, LocalStrategy};
 use seqhide_match::Gap;
-use seqhide_re::{
-    count_occurrences, delta_by_marking_re, parse, sanitize_regex_sequence, RegexPattern,
-};
+use seqhide_num::Sat64;
+use seqhide_re::{count_occurrences, delta_by_marking_re, parse, RegexDomain, RegexPattern};
 use seqhide_types::{Alphabet, Sequence, Symbol};
 
 const PATTERNS: &[&str] = &[
@@ -121,11 +121,12 @@ proptest! {
         let mut t = Sequence::from_ids(t);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let strategy = if seed % 2 == 0 {
-            seqhide_re::ReLocalStrategy::Heuristic
+            LocalStrategy::Heuristic
         } else {
-            seqhide_re::ReLocalStrategy::Random
+            LocalStrategy::Random
         };
-        let marks = sanitize_regex_sequence(&mut t, std::slice::from_ref(&p), strategy, &mut rng);
+        let mut domain = RegexDomain::<Sat64>::new(std::slice::from_ref(&p));
+        let marks = sanitize_victim(&mut domain, &mut t, strategy, &mut rng);
         prop_assert_eq!(count_occurrences::<u64>(&p, &t), 0);
         prop_assert!(marks <= t.len());
     }

@@ -47,7 +47,7 @@ use seqhide_match::{
     ConstraintSet, Gap, ItemsetMatchEngine, MatchEngine, SensitivePattern, SensitiveSet,
 };
 use seqhide_num::{BigCount, Count, Sat64};
-use seqhide_re::{sanitize_regex_db, RegexDomain, RegexPattern};
+use seqhide_re::{RegexDomain, RegexPattern};
 use seqhide_string::{StringDomain, StringPattern};
 use seqhide_types::{Alphabet, ItemsetSequence, OpKind, Sequence, SequenceDb, TimedSequence};
 
@@ -123,13 +123,13 @@ pub enum Mode {
     /// `symbol@tick` events; gaps measured in elapsed ticks.
     Timed,
     /// Plain line format, but patterns are *contiguous substrings* and
-    /// `op` selects the edit family (the CLI's `--domain string`).
+    /// `op` selects the edit family.
     String,
 }
 
 impl Mode {
-    /// Parses the wire `mode` field (`None` defaults to plain, as the
-    /// CLI's `--mode` does).
+    /// Parses the wire `mode` field and the CLI's `--mode` flag (`None`
+    /// defaults to plain).
     pub fn parse(name: Option<&str>) -> Result<Mode, String> {
         match name.unwrap_or("plain") {
             "plain" => Ok(Mode::Plain),
@@ -260,7 +260,7 @@ impl HideSpec {
             return Err(format!(
                 "--op {}: {} are hidden by Δ-marks only; edit operations \
                  (delete|substitute) need the substring domain — did you mean \
-                 --domain string? (wire: \"mode\":\"string\")",
+                 --mode string? (wire: \"mode\":\"string\")",
                 self.op.name(),
                 self.family().noun()
             ));
@@ -298,6 +298,8 @@ impl HideSpec {
         Ok(())
     }
 
+    /// The run's sanitizer: strategies, ψ, seed, counting and threads.
+    /// Every round of every route is built from it.
     fn sanitizer(&self) -> Sanitizer {
         Sanitizer::new(self.local, self.global, self.psi)
             .with_seed(self.seed)
@@ -515,21 +517,28 @@ impl Loaded {
     /// Deletes the released Δ marks (`seqhide hide --post delete`),
     /// re-verifying every family after each deletion sweep and
     /// re-sanitizing what index shifts resurrected; returns the rounds.
+    /// Every round runs the spec's own sanitizer, so the release equals
+    /// repeating the hide with the same settings and stripping Δ until a
+    /// round adds no marks.
     pub fn delete_marks(&mut self, spec: &HideSpec) -> Result<usize, String> {
         let psi = spec.psi;
-        let resanitize = Sanitizer::new(spec.local, spec.global, psi);
+        let resanitize = spec.sanitizer();
         let rounds = match &mut self.0 {
             Parsed::Plain(db, sh, regexes) => {
                 // Deletion shrinks gaps for every constrained matcher, so
-                // the hook re-verifies (and re-sanitizes) the regexes too.
+                // the hook re-sanitizes the regexes too (a hidden family
+                // selects no victims and adds no marks).
+                let regexes: &[RegexPattern] = regexes;
                 let (released, report) =
                     delete_markers_safe_with(db, sh, psi, &resanitize, |cur| {
                         if regexes.is_empty() {
-                            0
-                        } else {
-                            sanitize_regex_db(cur, regexes, psi, spec.local, spec.seed)
-                                .marks_introduced
+                            return 0;
                         }
+                        resanitize
+                            .run_domain_threaded(cur.sequences_mut(), &|| {
+                                RegexDomain::<Sat64>::new(regexes)
+                            })
+                            .marks_introduced
                     });
                 *db = released;
                 report.rounds
@@ -562,10 +571,16 @@ impl Loaded {
     }
 
     /// Replaces the released Δ marks with alphabet symbols that create no
-    /// sensitive occurrence (`seqhide hide --post replace`; plain mode
-    /// only).
+    /// sensitive occurrence (`seqhide hide --post replace`; plain
+    /// `--pattern` runs only: the replacement guard checks plain patterns,
+    /// so a `--regex` run could get back the very occurrence it hid).
     pub fn replace_marks(&mut self, spec: &HideSpec) -> Result<ReplaceReport, String> {
         match &mut self.0 {
+            Parsed::Plain(_, _, regexes) if !regexes.is_empty() => Err(
+                "--post replace checks plain --pattern families only; a run with --regex \
+                 patterns could release the occurrence it hid — use --post keep or delete"
+                    .to_string(),
+            ),
             Parsed::Plain(db, sh, _) => Ok(replace_markers(db, sh, spec.seed)),
             Parsed::String(..) => Err(STRING_POST.to_string()),
             Parsed::Itemset(..) | Parsed::Timed(..) => Err(
@@ -595,7 +610,7 @@ impl Loaded {
     }
 }
 
-const STRING_POST: &str = "--domain string edits during sanitization (--op delete|substitute); \
+const STRING_POST: &str = "--mode string edits during sanitization (--op delete|substitute); \
                            --post delete/replace apply to Δ-marked plain-mode releases";
 
 /// Pre-interns every symbol of the source in file order, so a streamed

@@ -26,7 +26,6 @@
 //! selection, streaming two-pass) drives this domain unchanged.
 
 use rand::Rng;
-use seqhide_core::{GlobalStrategy, SanitizeReport, Sanitizer};
 use seqhide_match::{EngineStats, LocalStrategy, PatternDomain};
 use seqhide_num::{Count, Sat64};
 use seqhide_obs::Phase;
@@ -326,42 +325,5 @@ impl<C: Count> PatternDomain for StringDomain<'_, C> {
 
     fn stats(&self) -> EngineStats {
         EngineStats::default()
-    }
-}
-
-/// Outcome of [`sanitize_string_db`].
-#[derive(Clone, Debug)]
-pub struct StringSanitizeReport {
-    /// The generic sanitizer report (edits, victims, residual supports).
-    pub report: SanitizeReport,
-    /// Edits per operator family actually applied: `(marks, deletes,
-    /// substitutions)` — deletes/substitutions that fell back to Δ count
-    /// as marks.
-    pub applied: (usize, usize, usize),
-}
-
-/// Convenience driver: hides every pattern down to support ≤ `psi` with
-/// the given strategies, seed, and operator family. The edit journal is
-/// folded into [`StringSanitizeReport::applied`].
-pub fn sanitize_string_db(
-    db: &mut [Sequence],
-    patterns: &[StringPattern],
-    sigma_len: usize,
-    psi: usize,
-    local: LocalStrategy,
-    op: OpKind,
-    seed: u64,
-) -> StringSanitizeReport {
-    let mut domain = StringDomain::<Sat64>::new(patterns, sigma_len).with_op(op);
-    let report = Sanitizer::new(local, GlobalStrategy::Heuristic, psi)
-        .with_seed(seed)
-        .run_domain(db, &mut domain);
-    StringSanitizeReport {
-        report,
-        applied: (
-            domain.journal.count_of(OpKind::Mark),
-            domain.journal.count_of(OpKind::Delete),
-            domain.journal.count_of(OpKind::Substitute),
-        ),
     }
 }

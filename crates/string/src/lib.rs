@@ -16,14 +16,15 @@
 //!   distorting with any of mark / delete / substitute
 //!   ([`OpKind`](seqhide_types::OpKind)), with per-edit safety guards and
 //!   Δ fallback;
-//! * [`sanitize_string_db`] — the convenience driver over the generic
-//!   two-level sanitizer;
 //! * [`substring_distortion`] — M1/M2/M3 adapted to frequent n-grams
 //!   (where, unlike marking, edits can create *ghost* patterns).
 //!
 //! Everything else — victim selection, the local δ loop, threading,
 //! two-pass streaming, serving — is the generic machinery of
-//! `seqhide-core`, driven through the trait.
+//! `seqhide-core`, driven through the trait: a database is sanitized by
+//! `Sanitizer::run_domain` (or `run_domain_threaded`) with a
+//! [`StringDomain`], whose [`journal`](StringDomain::journal) afterwards
+//! records which edit each position received.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,9 +33,7 @@ mod ac;
 mod domain;
 mod metrics;
 
-pub use domain::{
-    sanitize_string_db, StringDomain, StringPattern, StringPatternError, StringSanitizeReport,
-};
+pub use domain::{StringDomain, StringPattern, StringPatternError};
 pub use metrics::{substring_distortion, SubstringDistortionReport};
 
 #[cfg(test)]
@@ -42,6 +41,7 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use seqhide_core::Sanitizer;
     use seqhide_match::{LocalStrategy, PatternDomain};
     use seqhide_num::Sat64;
     use seqhide_types::{Alphabet, OpKind, Sequence};
@@ -191,19 +191,17 @@ mod tests {
                 .iter()
                 .map(|l| Sequence::parse(l, &mut sigma))
                 .collect();
-            let r = sanitize_string_db(
-                &mut db,
-                &patterns,
-                sigma.len(),
-                1,
-                LocalStrategy::Heuristic,
-                op,
-                7,
-            );
-            assert!(r.report.hidden, "{op}: not hidden to ψ=1");
-            assert_eq!(r.report.residual_supports, vec![1]);
-            let (m, d, s) = r.applied;
-            assert_eq!(m + d + s, r.report.marks_introduced);
+            let mut domain = StringDomain::<Sat64>::new(&patterns, sigma.len()).with_op(op);
+            let r = Sanitizer::hh(1)
+                .with_seed(7)
+                .run_domain(&mut db, &mut domain);
+            assert!(r.hidden, "{op}: not hidden to ψ=1");
+            assert_eq!(r.residual_supports, vec![1]);
+            let applied: usize = OpKind::ALL
+                .iter()
+                .map(|&kind| domain.journal.count_of(kind))
+                .sum();
+            assert_eq!(applied, r.marks_introduced);
         }
     }
 
@@ -213,16 +211,11 @@ mod tests {
         let patterns = pats(&["p q"], &mut sigma);
         let mut db = vec![Sequence::parse("a p q b", &mut sigma)];
         let before_len = db[0].len();
-        let r = sanitize_string_db(
-            &mut db,
-            &patterns,
-            sigma.len(),
-            0,
-            LocalStrategy::Heuristic,
-            OpKind::Delete,
-            7,
-        );
-        assert!(r.report.hidden);
+        let mut domain = StringDomain::<Sat64>::new(&patterns, sigma.len()).with_op(OpKind::Delete);
+        let r = Sanitizer::hh(0)
+            .with_seed(7)
+            .run_domain(&mut db, &mut domain);
+        assert!(r.hidden);
         assert!(db[0].len() < before_len, "delete should remove elements");
         assert_eq!(db[0].mark_count(), 0);
     }

@@ -11,9 +11,10 @@
 //! cargo run --example itemset_baskets
 //! ```
 
-use seqhide::core::itemset::sanitize_itemset_db;
-use seqhide::core::LocalStrategy;
+use seqhide::core::Sanitizer;
 use seqhide::matching::itemset::{support_itemset, ItemsetPattern};
+use seqhide::matching::ItemsetMatchEngine;
+use seqhide::num::Sat64;
 use seqhide::types::{Alphabet, ItemsetSequence};
 
 fn main() {
@@ -51,13 +52,10 @@ fn main() {
         db.len()
     );
 
-    let report = sanitize_itemset_db(
-        &mut db,
-        std::slice::from_ref(&pattern),
-        0,
-        LocalStrategy::Heuristic,
-        7,
-    );
+    let patterns = std::slice::from_ref(&pattern);
+    let report = Sanitizer::hh(0)
+        .with_seed(7)
+        .run_domain(&mut db, &mut ItemsetMatchEngine::<Sat64>::new(patterns));
     println!(
         "sanitized: {} item marks in {} histories; hidden = {}",
         report.marks_introduced, report.sequences_sanitized, report.hidden

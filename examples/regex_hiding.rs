@@ -13,8 +13,9 @@
 use seqhide::core::Sanitizer;
 use seqhide::data::trucks_like;
 use seqhide::matching::SensitiveSet;
+use seqhide::num::Sat64;
 use seqhide::prelude::*;
-use seqhide::re::{sanitize_regex_db, supports_re, ReLocalStrategy, RegexPattern};
+use seqhide::re::{supports_re, RegexDomain, RegexPattern};
 
 fn main() {
     let dataset = trucks_like(42);
@@ -34,13 +35,12 @@ fn main() {
         db.len()
     );
 
-    let report = sanitize_regex_db(
-        &mut db,
-        std::slice::from_ref(&re),
-        0,
-        ReLocalStrategy::Heuristic,
-        0,
-    );
+    // The paper's HH over the regex domain: the same two-level driver as
+    // for plain patterns.
+    let regexes = std::slice::from_ref(&re);
+    let report = Sanitizer::hh(0)
+        .with_seed(0)
+        .run_domain(db.sequences_mut(), &mut RegexDomain::<Sat64>::new(regexes));
     println!(
         "regex HH: {} marks in {} trajectories; hidden = {}",
         report.marks_introduced, report.sequences_sanitized, report.hidden
@@ -76,12 +76,10 @@ fn main() {
         .iter()
         .filter(|t| supports_re(t, &loiter))
         .count();
-    let report = sanitize_regex_db(
-        &mut db3,
-        std::slice::from_ref(&loiter),
-        5,
-        ReLocalStrategy::Heuristic,
-        0,
+    let loiter_set = std::slice::from_ref(&loiter);
+    let report = Sanitizer::hh(5).with_seed(0).run_domain(
+        db3.sequences_mut(),
+        &mut RegexDomain::<Sat64>::new(loiter_set),
     );
     println!(
         "\nloitering policy ([row]+): {supporters} supporters → ψ=5 leaves {}; {} marks",

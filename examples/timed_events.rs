@@ -10,10 +10,9 @@
 //! cargo run --example timed_events
 //! ```
 
-use seqhide::core::timed::{
-    sanitize_timed_db, supports_timed, TimeConstraints, TimeGap, TimedPattern,
-};
-use seqhide::core::LocalStrategy;
+use seqhide::core::timed::{supports_timed, TimeConstraints, TimeGap, TimedPattern};
+use seqhide::core::{Sanitizer, TimedDomain};
+use seqhide::num::Sat64;
 use seqhide::types::{Alphabet, Sequence, TimedSequence};
 
 fn main() {
@@ -52,13 +51,10 @@ fn main() {
     );
     assert_eq!(supporters, 2);
 
-    let report = sanitize_timed_db(
-        &mut db,
-        std::slice::from_ref(&pattern),
-        0,
-        LocalStrategy::Heuristic,
-        3,
-    );
+    let patterns = std::slice::from_ref(&pattern);
+    let report = Sanitizer::hh(0)
+        .with_seed(3)
+        .run_domain(&mut db, &mut TimedDomain::<Sat64>::new(patterns));
     println!(
         "sanitized: {} event marks in {} streams; hidden = {}",
         report.marks_introduced, report.sequences_sanitized, report.hidden

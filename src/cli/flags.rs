@@ -46,7 +46,6 @@ pub(crate) const SPECS: &[FlagSpec] = &[
             "pattern",
             "regex",
             "mode",
-            "domain",
             "op",
             "algorithm",
             "seed",

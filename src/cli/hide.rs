@@ -17,7 +17,7 @@ use seqhide_serve::exec::{self, DeltaSession, Family, HideSpec, Loaded, Mode, St
 use seqhide_types::OpKind;
 
 use super::flags::Flags;
-use super::{err, gaps, mode, read_text, CliError};
+use super::{err, gaps, read_text, CliError};
 
 pub(crate) fn cmd_hide(flags: &Flags) -> Result<String, CliError> {
     let spec = hide_spec(flags)?;
@@ -45,7 +45,7 @@ fn hide_spec(flags: &Flags) -> Result<HideSpec, CliError> {
     };
     let (min_gap, max_gap, max_window) = gaps(flags)?;
     Ok(HideSpec {
-        mode: hide_mode(flags)?,
+        mode: Mode::parse(flags.one("mode")).map_err(err)?,
         patterns: flags.all("pattern").to_vec(),
         regexes: flags.all("regex").to_vec(),
         psi,
@@ -59,34 +59,6 @@ fn hide_spec(flags: &Flags) -> Result<HideSpec, CliError> {
         op,
         threads: flags.usize_or("threads", 1)?,
     })
-}
-
-/// `--mode` picks the database line format; `--domain` names the pattern
-/// class directly, and must agree with `--mode` when both are given.
-/// `--domain regex` is plain-format input hidden by its `--regex`
-/// patterns, which the pipeline infers from the flags anyway.
-fn hide_mode(flags: &Flags) -> Result<Mode, CliError> {
-    let line_format = mode(flags)?;
-    let Some(domain) = flags.one("domain") else {
-        return Ok(line_format);
-    };
-    let (mode, reads) = match domain {
-        "plain" | "regex" => (Mode::Plain, "plain"),
-        "itemset" => (Mode::Itemset, "itemset"),
-        "timed" => (Mode::Timed, "timed"),
-        "string" => (Mode::String, "plain"),
-        other => {
-            return Err(err(format!(
-                "unknown domain '{other}' (plain|itemset|timed|regex|string)"
-            )))
-        }
-    };
-    if let Some(given) = flags.one("mode").filter(|&given| given != reads) {
-        return Err(err(format!(
-            "--domain {domain} reads {reads}-format input; drop --mode {given}"
-        )));
-    }
-    Ok(mode)
 }
 
 /// The report line of one pattern family.

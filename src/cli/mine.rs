@@ -6,7 +6,7 @@ use seqhide_serve::exec::Mode;
 use seqhide_types::SequenceDb;
 
 use super::flags::Flags;
-use super::{err, gaps, mode, read_text, CliError};
+use super::{err, gaps, read_text, CliError};
 
 pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
     let sigma = flags
@@ -20,7 +20,8 @@ pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
     if let Some(l) = flags.one("max-len") {
         cfg = cfg.with_max_len(l.parse().map_err(|_| err("--max-len: not a number"))?);
     }
-    if mode(flags)? == Mode::Itemset {
+    let mode = Mode::parse(flags.one("mode")).map_err(err)?;
+    if mode == Mode::Itemset {
         let (alphabet, db) = seqhide_data::io::parse_itemset_db(&read_text(flags)?);
         let result = seqhide_mine::ItemsetMiner::mine(&db, &cfg);
         let mut rows = result.patterns.clone();
@@ -40,7 +41,7 @@ pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
         }
         return Ok(out);
     }
-    if mode(flags)? == Mode::Timed {
+    if mode == Mode::Timed {
         return Err(err(
             "mining timed databases is not supported; project the symbols",
         ));

@@ -22,7 +22,6 @@
 use std::fmt;
 
 use seqhide_obs as obs;
-use seqhide_serve::exec::Mode;
 
 mod attack;
 mod flags;
@@ -56,14 +55,13 @@ const HELP: &str = "\
 seqhide — hiding sensitive sequential patterns (ICDE 2007 reproduction)
 
 USAGE:
-  seqhide stats  --db FILE [--mode plain|itemset|timed]
+  seqhide stats  --db FILE [--mode plain|itemset|timed|string]
   seqhide mine   --db FILE --sigma N [--mode plain|itemset]
                  [--miner prefixspan|gsp] [--max-len L] [--top K]
                  [--min-gap G] [--max-gap G] [--max-window W]
                  [--metrics-out FILE] [--progress]
   seqhide hide   --db FILE --psi N (--pattern \"a b\")... [--regex \"a (b|c)+ d\"]...
-                 [--mode plain|itemset|timed]
-                 [--domain plain|itemset|timed|regex|string]
+                 [--mode plain|itemset|timed|string]
                  [--op mark|delete|substitute] [--algorithm hh|hr|rh|rr]
                  [--seed S] [--exact] [--min-gap G] [--max-gap G] [--max-window W]
                  [--threads N]
@@ -83,30 +81,30 @@ USAGE:
   seqhide gen    --dataset trucks|synthetic [--seed S] --out FILE
   seqhide help | --version
 
-FORMATS (one sequence per line; '#' comments; marks render as Δ):
+MODES (--mode, default plain; the wire's \"mode\" takes the same values):
+  One sequence per line; '#' comments; marks render as Δ.
   plain    whitespace-separated symbols:      login search checkout
+           --pattern hides subsequences, --regex regular expressions
   itemset  comma-joined items per element:    bread,milk beer
+           --pattern uses the itemset syntax
   timed    symbol@tick events:                login@0 search@15
-In itemset mode --pattern uses the itemset syntax; in timed mode
---min-gap/--max-gap/--max-window are elapsed ticks, not index distances.
-
-DOMAINS AND OPERATORS:
-  --domain names the pattern class directly (otherwise inferred from
-  --mode and --regex). --domain string hides *contiguous substrings* of
-  plain-format input and is the only domain accepting edit operations:
-    --op mark        Δ-mark the chosen position (default, every domain)
+           --min-gap/--max-gap/--max-window are elapsed ticks
+  string   the plain line format; --pattern hides *contiguous
+           substrings*, and this is the only mode accepting edit
+           operations:
+    --op mark        Δ-mark the chosen position (default, every mode)
     --op delete      remove the element; refused (Δ fallback) when the
                      deletion would splice a fresh sensitive occurrence
     --op substitute  rewrite with the first alphabet symbol creating no
                      sensitive occurrence; Δ fallback when none exists
-  Every other domain is Δ-mark-only and rejects --op delete|substitute.
+  Every other mode is Δ-mark-only and rejects --op delete|substitute.
 
 STREAMING:
   --stream            two-pass bounded-memory pipeline: never holds more
                       than --batch-size sequences resident; output is
                       byte-identical to the in-memory path on the same
                       seed. Every pattern class streams — plain, itemset,
-                      timed, --regex and --domain string — one class per
+                      timed, --regex and --mode string — one class per
                       run; --post keep only.
   --batch-size N      sequences resident per pass-2 batch (default 1024)
 
@@ -118,7 +116,7 @@ DELTAS:
                       '- <n>' removes the 0-based data-line ordinal n;
                       '#' comments and blank lines skipped. Output equals
                       a fresh hide of the mutated database on the same
-                      seed. Plain/itemset/timed/string domains; --op
+                      seed. Plain/itemset/timed/string modes; --op
                       mark|delete; excludes --stream, --post and --regex.
 
 SERVING (protocol spec and ops runbook in docs/SERVER.md):
@@ -171,16 +169,6 @@ pub(crate) fn gaps(flags: &Flags) -> Result<(u64, Option<u64>, Option<u64>), Cli
         bound("max-gap")?,
         bound("max-window")?,
     ))
-}
-
-/// The `--mode` line format.
-pub(crate) fn mode(flags: &Flags) -> Result<Mode, CliError> {
-    match flags.one("mode").unwrap_or("plain") {
-        "plain" => Ok(Mode::Plain),
-        "itemset" => Ok(Mode::Itemset),
-        "timed" => Ok(Mode::Timed),
-        other => Err(err(format!("unknown mode '{other}' (plain|itemset|timed)"))),
-    }
 }
 
 pub(crate) fn read_text(flags: &Flags) -> Result<String, CliError> {

@@ -1,13 +1,14 @@
-//! `seqhide stats` — summarise a sequence database in any of the three
-//! line formats (the shape the serve `stats` request reports).
+//! `seqhide stats` — summarise a sequence database in its `--mode`'s line
+//! format (the shape the serve `stats` request reports).
 
-use seqhide_serve::exec::{self, DbSource, StatsOutcome};
+use seqhide_serve::exec::{self, DbSource, Mode, StatsOutcome};
 
 use super::flags::Flags;
-use super::{err, mode, read_text, CliError};
+use super::{err, read_text, CliError};
 
 pub(crate) fn cmd_stats(flags: &Flags) -> Result<String, CliError> {
-    let stats = exec::stats(&DbSource::from(read_text(flags)?), mode(flags)?).map_err(err)?;
+    let mode = Mode::parse(flags.one("mode")).map_err(err)?;
+    let stats = exec::stats(&DbSource::from(read_text(flags)?), mode).map_err(err)?;
     Ok(match stats {
         StatsOutcome::Plain {
             sequences,

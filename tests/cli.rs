@@ -878,6 +878,134 @@ fn post_delete_reverifies_regex_patterns() {
     assert!(!released.contains('x'), "{released}");
 }
 
+/// `--post replace` guards its replacement symbols against the plain
+/// `--pattern` family only, so a `--regex` run could get back the very
+/// occurrence it hid: on ⟨a b⟩ ⟨a a⟩ ⟨a a⟩ ⟨a a⟩ the Δ on line 1 would
+/// be replaced by the most frequent symbol, `a`, re-creating ⟨a b⟩.
+/// Such runs are refused, naming both flags.
+#[test]
+fn post_replace_refuses_regex_runs() {
+    let dir = tmpdir("replaceregex");
+    let db = write_db(&dir, "db.seq", "a b\na a\na a\na a\n");
+    for extra in [
+        &["--regex", "a b"][..],
+        &["--pattern", "a a", "--regex", "a b"],
+    ] {
+        let mut a = args(&["hide", "--db", &db, "--psi", "0", "--post", "replace"]);
+        a.extend(args(extra));
+        let e = run(&a).unwrap_err();
+        assert!(
+            e.0.contains("--post replace") && e.0.contains("--regex"),
+            "{extra:?}: {e}"
+        );
+    }
+    // plain --pattern runs still replace, and stay hidden
+    let out_path = dir.join("released.seq").to_string_lossy().into_owned();
+    let out = run(&args(&[
+        "hide",
+        "--db",
+        &db,
+        "--psi",
+        "0",
+        "--pattern",
+        "a b",
+        "--post",
+        "replace",
+        "--out",
+        &out_path,
+    ]))
+    .unwrap();
+    assert!(out.contains("post: replaced"), "{out}");
+    let verdict = run(&args(&[
+        "verify",
+        "--db",
+        &out_path,
+        "--psi",
+        "0",
+        "--pattern",
+        "a b",
+    ]))
+    .unwrap();
+    assert!(verdict.contains("support 0 ≤ ψ = 0"), "{verdict}");
+}
+
+/// `--post delete` is the rule "repeat `hide` with the same flags and
+/// strip Δ until a round adds no marks": every re-sanitizing round runs
+/// the run's own algorithm and seed, for plain and regex families alike.
+/// On `a a b cK` under `--max-gap 0`, marking the second `a` hides ⟨a b⟩
+/// until deletion glues the first `a` to `b`, so each line needs a second
+/// round, and under a random letter which lines get it depends on the
+/// seed.
+#[test]
+fn post_delete_equals_repeated_hide_and_strip() {
+    let dir = tmpdir("deleterule");
+    let text: String = (1..=8).map(|k| format!("a a b c{k}\n")).collect();
+    let db = write_db(&dir, "db.seq", &text);
+    let hide = |db: &str, family: &str, algorithm: &str, seed: &str, post: &str| {
+        let out_path = dir
+            .join(format!("{family}-{algorithm}-{seed}-{post}.seq"))
+            .to_string_lossy()
+            .into_owned();
+        let head = run(&args(&[
+            "hide",
+            "--db",
+            db,
+            family,
+            "a b",
+            "--max-gap",
+            "0",
+            "--psi",
+            "1",
+            "--algorithm",
+            algorithm,
+            "--seed",
+            seed,
+            "--post",
+            post,
+            "--out",
+            &out_path,
+        ]))
+        .unwrap_or_else(|e| panic!("{family} {algorithm} seed {seed} --post {post}: {e}"));
+        (head, fs::read_to_string(&out_path).unwrap())
+    };
+    for family in ["--pattern", "--regex"] {
+        for algorithm in ["hh", "hr", "rh", "rr"] {
+            for seed in 1..=9 {
+                let seed = seed.to_string();
+                let (_, deleted) = hide(&db, family, algorithm, &seed, "delete");
+                let round_db = dir.join("round.seq").to_string_lossy().into_owned();
+                let mut current = text.clone();
+                let mut rounds = 0;
+                loop {
+                    fs::write(&round_db, &current).unwrap();
+                    let (head, release) = hide(&round_db, family, algorithm, &seed, "keep");
+                    if head.contains("total marks (M1): 0\n") {
+                        break;
+                    }
+                    current = release
+                        .lines()
+                        .map(|l| {
+                            let kept: Vec<&str> =
+                                l.split_whitespace().filter(|&s| s != "Δ").collect();
+                            kept.join(" ") + "\n"
+                        })
+                        .collect();
+                    rounds += 1;
+                    assert!(rounds <= 8, "{family} {algorithm} seed {seed}: no fixpoint");
+                }
+                assert!(
+                    rounds >= 2,
+                    "{family} {algorithm} seed {seed}: no resurrection"
+                );
+                assert_eq!(
+                    deleted, current,
+                    "{family} {algorithm} seed {seed}: --post delete differs from repeated hide"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn report_flag_surfaces_engine_stats() {
     let dir = tmpdir("repstats");
@@ -957,7 +1085,7 @@ fn edit_ops_are_rejected_outside_the_string_domain() {
             a.extend(args(common));
             let e = run(&a).unwrap_err();
             assert!(
-                e.0.contains(noun) && e.0.contains("did you mean --domain string?"),
+                e.0.contains(noun) && e.0.contains("did you mean --mode string?"),
                 "{noun} --op {op}: {e}"
             );
         }
@@ -973,7 +1101,7 @@ fn edit_ops_are_rejected_outside_the_string_domain() {
             "hide",
             "--db",
             &pdb,
-            "--domain",
+            "--mode",
             "string",
             "--psi",
             "0",
@@ -985,7 +1113,7 @@ fn edit_ops_are_rejected_outside_the_string_domain() {
         .unwrap_or_else(|e| panic!("string --op {op}: {e}"));
         assert!(out.contains("string patterns:"), "{out}");
     }
-    // bad values and conflicting mode/domain pairs are pointed errors
+    // bad values are pointed errors
     let e = run(&args(&[
         "hide",
         "--db",
@@ -1010,30 +1138,12 @@ fn edit_ops_are_rejected_outside_the_string_domain() {
         "0",
         "--pattern",
         "a",
-        "--domain",
+        "--mode",
         "str",
     ]))
     .unwrap_err();
     assert!(
-        e.0.contains("unknown domain 'str' (plain|itemset|timed|regex|string)"),
-        "{e}"
-    );
-    let e = run(&args(&[
-        "hide",
-        "--db",
-        &pdb,
-        "--psi",
-        "0",
-        "--pattern",
-        "a",
-        "--domain",
-        "string",
-        "--mode",
-        "itemset",
-    ]))
-    .unwrap_err();
-    assert!(
-        e.0.contains("--domain string reads plain-format input; drop --mode itemset"),
+        e.0.contains("unknown mode 'str' (plain|itemset|timed|string)"),
         "{e}"
     );
 }
@@ -1053,7 +1163,7 @@ fn string_domain_edits_and_streams_identically() {
             let common = [
                 "--db",
                 &db,
-                "--domain",
+                "--mode",
                 "string",
                 "--psi",
                 "0",
@@ -1104,7 +1214,7 @@ fn string_domain_edits_and_streams_identically() {
         "hide",
         "--db",
         &db,
-        "--domain",
+        "--mode",
         "string",
         "--psi",
         "0",
@@ -1120,7 +1230,7 @@ fn string_domain_edits_and_streams_identically() {
         "hide",
         "--db",
         &db,
-        "--domain",
+        "--mode",
         "string",
         "--psi",
         "0",
@@ -1131,7 +1241,7 @@ fn string_domain_edits_and_streams_identically() {
     ]))
     .unwrap_err();
     assert!(
-        e.0.contains("--domain string edits during sanitization"),
+        e.0.contains("--mode string edits during sanitization"),
         "{e}"
     );
 }
@@ -1279,7 +1389,7 @@ fn delta_release_equals_a_fresh_hide_of_the_mutated_database() {
             db: "a b c\na b d\nc a b\nb a\n",
             edits: "- 3\n+ a b a b\n",
             mutated: "a b c\na b d\nc a b\na b a b\n",
-            flags: &["--domain", "string", "--op", "delete", "--pattern", "a b"],
+            flags: &["--mode", "string", "--op", "delete", "--pattern", "a b"],
         },
     ];
     for case in &cases {
@@ -1327,14 +1437,7 @@ fn delta_release_equals_a_fresh_hide_of_the_mutated_database() {
         (&["--pattern", "a c", "--stream"], "--stream"),
         (&["--pattern", "a c", "--post", "delete"], "--post"),
         (
-            &[
-                "--domain",
-                "string",
-                "--pattern",
-                "a c",
-                "--op",
-                "substitute",
-            ],
+            &["--mode", "string", "--pattern", "a c", "--op", "substitute"],
             "substitute",
         ),
         (&["--pattern", "a c", "--regex", "a b"], "--regex"),
@@ -1378,7 +1481,7 @@ fn unsatisfiable_gaps_and_inapplicable_exact_are_refused() {
     let no_plain_family: &[&[&str]] = &[
         &["--db", &idb, "--mode", "itemset", "--pattern", "a c"],
         &["--db", &tdb, "--mode", "timed", "--pattern", "a c"],
-        &["--db", &pdb, "--domain", "string", "--pattern", "a c"],
+        &["--db", &pdb, "--mode", "string", "--pattern", "a c"],
         &["--db", &pdb, "--regex", "a (b | c)"],
     ];
     for flags in no_plain_family {

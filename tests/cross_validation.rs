@@ -5,8 +5,9 @@
 use seqhide::data::{synthetic_like, trucks_like};
 use seqhide::matching::{count_embeddings, SensitiveSet};
 use seqhide::mine::{Gsp, MinerConfig, PrefixSpan};
+use seqhide::num::Sat64;
 use seqhide::prelude::*;
-use seqhide::re::{count_occurrences, sanitize_regex_db, ReLocalStrategy, RegexPattern};
+use seqhide::re::{count_occurrences, RegexDomain, RegexPattern};
 
 #[test]
 fn miners_agree_on_both_datasets() {
@@ -28,12 +29,9 @@ fn regex_equals_plain_patterns_on_trucks() {
     let dataset = trucks_like(42);
     let mut db_re = dataset.db.clone();
     let re = RegexPattern::compile("X6Y3 X7Y2 | X4Y3 X5Y3", db_re.alphabet_mut()).unwrap();
-    let re_report = sanitize_regex_db(
-        &mut db_re,
-        std::slice::from_ref(&re),
-        0,
-        ReLocalStrategy::Heuristic,
-        0,
+    let re_report = Sanitizer::hh(0).with_seed(0).run_domain(
+        db_re.sequences_mut(),
+        &mut RegexDomain::<Sat64>::new(std::slice::from_ref(&re)),
     );
 
     let mut db_plain = dataset.db.clone();

@@ -250,7 +250,7 @@ fn served_releases_are_byte_identical_to_cli_across_domains_and_algorithms() {
 }
 
 /// The DistortOp wire field: `"mode":"string"` releases under each
-/// operator family are byte-identical to the CLI's `--domain string
+/// operator family are byte-identical to the CLI's `--mode string
 /// --op` runs on the same seed, and an edit op on a Δ-mark-only mode is
 /// rejected with the pointed error, mirroring the CLI's.
 #[test]
@@ -290,7 +290,7 @@ fn string_mode_op_round_trip_matches_cli() {
                 "hide",
                 "--db",
                 &db_path,
-                "--domain",
+                "--mode",
                 "string",
                 "--psi",
                 "0",
@@ -434,6 +434,86 @@ fn verify_and_stats_requests_execute_on_the_pool() {
     );
     assert_eq!(resp.get("sequences").and_then(Json::as_u64), Some(2));
     assert_eq!(resp.get("events_total").and_then(Json::as_u64), Some(3));
+
+    send_one(addr, r#"{"type":"shutdown"}"#);
+    handle.join().unwrap();
+}
+
+/// The CLI's `--mode` and the wire's `"mode"` are one parser: both take
+/// `plain|itemset|timed|string`, `string` reads the plain line format
+/// (its `stats` are the plain ones on either surface), and an unknown
+/// value is refused with the same message naming all four.
+#[test]
+fn cli_and_wire_take_the_same_mode_values() {
+    let dir = tmpdir("modes");
+    let db = "a b c\nb c\n# comment\na Δ b\n";
+    let db_path = dir.join("db.seq").to_string_lossy().into_owned();
+    fs::write(&db_path, db).unwrap();
+    let cli_stats = |mode: &str| cli(&args(&["stats", "--db", &db_path, "--mode", mode]));
+    let plain = cli_stats("plain").unwrap();
+    assert_eq!(cli_stats("string").unwrap(), plain);
+
+    let (addr, handle) = start(1, 4);
+    let served_stats = |mode: &str| {
+        send_one(
+            addr,
+            &obj(vec![
+                ("type", Json::Str("stats".to_string())),
+                ("db", Json::Str(db.to_string())),
+                ("mode", Json::Str(mode.to_string())),
+            ]),
+        )
+    };
+    let (string, served_plain) = (served_stats("string"), served_stats("plain"));
+    assert_eq!(string.get("status").and_then(Json::as_str), Some("ok"));
+    for (field, line) in [
+        ("sequences", "sequences:      "),
+        ("symbols_total", "symbols total:  "),
+        ("max_len", "max length:     "),
+        ("alphabet", "alphabet |Σ|:   "),
+        ("marks", "marks (Δ):      "),
+    ] {
+        let value = string.get(field).and_then(Json::as_u64).unwrap();
+        assert_eq!(Some(value), served_plain.get(field).and_then(Json::as_u64));
+        assert!(
+            plain.contains(&format!("{line}{value}\n")),
+            "{field}: {plain}"
+        );
+    }
+
+    let wire = send_one(
+        addr,
+        &obj(vec![
+            ("type", Json::Str("sanitize".to_string())),
+            ("db", Json::Str(db.to_string())),
+            ("mode", Json::Str("turbo".to_string())),
+            ("patterns", str_arr(&["a b"])),
+            ("psi", Json::num(0)),
+        ]),
+    );
+    let wire_error = wire
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    let cli_error = cli(&args(&[
+        "hide",
+        "--db",
+        &db_path,
+        "--psi",
+        "0",
+        "--pattern",
+        "a b",
+        "--mode",
+        "turbo",
+    ]))
+    .unwrap_err()
+    .0;
+    assert_eq!(
+        cli_error,
+        "unknown mode 'turbo' (plain|itemset|timed|string)"
+    );
+    assert!(wire_error.contains(&cli_error), "{wire_error}");
 
     send_one(addr, r#"{"type":"shutdown"}"#);
     handle.join().unwrap();

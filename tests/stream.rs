@@ -3,11 +3,15 @@
 //! across every strategy, engine, thread count and batch size — the
 //! determinism contract `docs/ALGORITHMS.md` §"Two-pass streaming" pins.
 //!
-//! The plain-pattern matrix exercises [`Sanitizer::run_streaming`]; the
-//! itemset/timed/regex matrices drive the same generic
-//! [`Sanitizer::run_streaming_domain`] the CLI uses, against
-//! [`Sanitizer::run_domain_threaded`] as the in-memory oracle.
+//! The plain-pattern matrix exercises [`Sanitizer::run_streaming_from`];
+//! the itemset/timed/regex matrices drive the same generic
+//! [`Sanitizer::run_streaming_domain_from`] the CLI uses, against
+//! [`Sanitizer::run_domain_threaded`] as the in-memory oracle. Each case
+//! is written to a file that every pass reopens, as `hide --stream` does.
 
+use std::fs::File;
+use std::io::{self, BufRead, BufReader};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
@@ -35,6 +39,12 @@ fn write_case(text: &str) -> std::path::PathBuf {
     ));
     std::fs::write(&path, text).unwrap();
     path
+}
+
+/// The streaming drivers' reader factory over a file: each pass reopens
+/// it from the top.
+fn reopen(path: &Path) -> impl Fn() -> io::Result<Box<dyn BufRead>> + '_ {
+    move || Ok(Box::new(BufReader::new(File::open(path)?)) as Box<dyn BufRead>)
 }
 
 /// Runs both paths on the same input text; returns (memory bytes, memory
@@ -71,7 +81,7 @@ fn both_paths(
     );
     let mut out = Vec::new();
     let stream_report = sanitizer
-        .run_streaming(&path, &mut alphabet, &sh_s, batch, &mut out)
+        .run_streaming_from(&reopen(&path), &mut alphabet, &sh_s, batch, &mut out)
         .unwrap();
     std::fs::remove_file(&path).unwrap();
     (
@@ -183,7 +193,7 @@ fn exact_counts_streaming_agrees() {
 }
 
 // ---------------------------------------------------------------------------
-// Domain matrices: itemset / timed / regex through `run_streaming_domain`.
+// Domain matrices: itemset / timed / regex through `run_streaming_domain_from`.
 //
 // The itemset distortion loop breaks δ-ties by ascending symbol id, so its
 // determinism contract requires both paths to intern symbols in the same
@@ -233,7 +243,7 @@ fn domain_sanitizer(
 
 /// In-memory vs streamed release for one domain: `parse` reads the text
 /// into `(alphabet, db)`, `mem` runs the in-memory oracle and renders its
-/// bytes, `stream` drives `run_streaming_domain` over the same alphabet.
+/// bytes, `stream` drives `run_streaming_domain_from` over the same alphabet.
 fn assert_domain_parity<Seq2>(
     text: &str,
     batch: usize,
@@ -362,8 +372,8 @@ proptest! {
             },
             |path, alphabet, out| {
                 let patterns = build_itemset_patterns(&specs, alphabet);
-                sanitizer.run_streaming_domain(
-                    path,
+                sanitizer.run_streaming_domain_from(
+                    &reopen(path),
                     alphabet,
                     &ItemsetCodec,
                     &|| ItemsetMatchEngine::<Sat64>::new(&patterns),
@@ -408,8 +418,8 @@ proptest! {
             },
             |path, alphabet, out| {
                 let patterns = build(alphabet);
-                sanitizer.run_streaming_domain(
-                    path,
+                sanitizer.run_streaming_domain_from(
+                    &reopen(path),
                     alphabet,
                     &TimedCodec,
                     &|| TimedDomain::<Sat64>::new(&patterns),
@@ -450,8 +460,8 @@ proptest! {
             },
             |path, alphabet, out| {
                 let regexes = vec![RegexPattern::compile(regex, alphabet).unwrap()];
-                sanitizer.run_streaming_domain(
-                    path,
+                sanitizer.run_streaming_domain_from(
+                    &reopen(path),
                     alphabet,
                     &PlainCodec,
                     &|| RegexDomain::<Sat64>::new(&regexes),
@@ -510,8 +520,8 @@ proptest! {
         let s_sigma = alphabet.len();
         let mut out = Vec::new();
         let stream_report = sanitizer
-            .run_streaming_domain(
-                &path,
+            .run_streaming_domain_from(
+                &reopen(&path),
                 &mut alphabet,
                 &PlainCodec,
                 &|| StringDomain::<Sat64>::new(&spats, s_sigma).with_op(op),
@@ -566,8 +576,8 @@ fn domain_no_supporter_and_psi_edges() {
             },
             |path, alphabet, out| {
                 let patterns = build_itemset_patterns(&[vec![vec![4], vec![4]]], alphabet);
-                sanitizer.run_streaming_domain(
-                    path,
+                sanitizer.run_streaming_domain_from(
+                    &reopen(path),
                     alphabet,
                     &ItemsetCodec,
                     &|| ItemsetMatchEngine::<Sat64>::new(&patterns),
@@ -597,8 +607,8 @@ fn domain_no_supporter_and_psi_edges() {
                     TimeConstraints::none(),
                 )
                 .unwrap()];
-                sanitizer.run_streaming_domain(
-                    path,
+                sanitizer.run_streaming_domain_from(
+                    &reopen(path),
                     alphabet,
                     &TimedCodec,
                     &|| TimedDomain::<Sat64>::new(&patterns),
@@ -622,8 +632,8 @@ fn domain_no_supporter_and_psi_edges() {
             },
             |path, alphabet, out| {
                 let regexes = vec![RegexPattern::compile("e e+", alphabet).unwrap()];
-                sanitizer.run_streaming_domain(
-                    path,
+                sanitizer.run_streaming_domain_from(
+                    &reopen(path),
                     alphabet,
                     &PlainCodec,
                     &|| RegexDomain::<Sat64>::new(&regexes),
