@@ -277,7 +277,10 @@ impl Sanitizer {
         make: Option<&(dyn Fn() -> D + Sync)>,
     ) -> SanitizeReport {
         let _span = obs::span(main.phase());
-        let index = SupporterIndex::scan(main, db, self.global);
+        let index = {
+            let _scan = obs::span(Phase::SupporterScan);
+            SupporterIndex::scan(main, db, self.global)
+        };
         let victims = self.select(&index);
         let (marks, mut stats) = self.mark_slice(db, &by_ordinal(&victims), main, make);
         let residual = index.residual(main, db);
@@ -441,7 +444,10 @@ impl Sanitizer {
             ) -> Self::Output {
                 let Round(sanitizer, db, psi, rng) = self;
                 let mut main = make();
-                let index = SupporterIndex::scan(&mut main, db.sequences(), sanitizer.global);
+                let index = {
+                    let _scan = obs::span(Phase::SupporterScan);
+                    SupporterIndex::scan(&mut main, db.sequences(), sanitizer.global)
+                };
                 let victims = index.select(psi, sanitizer.global, rng);
                 let (marks, mut stats) = sanitizer.mark_slice(
                     db.sequences_mut(),

@@ -70,7 +70,7 @@ pub fn write_itemset_line(
             if j > 0 {
                 out.write_all(b",")?;
             }
-            out.write_all(alphabet.render(s).as_bytes())?;
+            out.write_all(alphabet.label(s).as_bytes())?;
         }
     }
     out.write_all(b"\n")
@@ -155,7 +155,8 @@ pub fn write_timed_line(
         if i > 0 {
             out.write_all(b" ")?;
         }
-        write!(out, "{}@{}", alphabet.render(e.symbol), e.time)?;
+        out.write_all(alphabet.label(e.symbol).as_bytes())?;
+        write!(out, "@{}", e.time)?;
     }
     out.write_all(b"\n")
 }

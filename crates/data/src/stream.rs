@@ -79,7 +79,7 @@ impl StreamCodec for PlainCodec {
             if i > 0 {
                 out.write_all(b" ")?;
             }
-            out.write_all(alphabet.render(s).as_bytes())?;
+            out.write_all(alphabet.label(s).as_bytes())?;
         }
         out.write_all(b"\n")
     }

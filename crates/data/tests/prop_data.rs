@@ -110,3 +110,103 @@ proptest! {
         let _ = &mut alphabet;
     }
 }
+
+// ───────────────────────── writer bytes ─────────────────────────
+
+/// An alphabet with multi-byte names; ids `0..4` are interned, `4` and
+/// `5` are foreign, and `6` is drawn as `Δ`.
+fn names_alphabet() -> seqhide_types::Alphabet {
+    let mut sigma = seqhide_types::Alphabet::new();
+    for name in ["a", "日本", "Δx", "ünïcødé"] {
+        sigma.intern(name);
+    }
+    sigma
+}
+
+fn symbol(id: u32) -> seqhide_types::Symbol {
+    if id == 6 {
+        seqhide_types::Symbol::MARK
+    } else {
+        seqhide_types::Symbol::new(id)
+    }
+}
+
+/// The writers' former formulation, kept as the oracle: each symbol
+/// rendered to a fresh `String`, the pieces joined.
+fn joined(sigma: &seqhide_types::Alphabet, syms: &[seqhide_types::Symbol], sep: &str) -> String {
+    syms.iter()
+        .map(|&s| sigma.render(s))
+        .collect::<Vec<_>>()
+        .join(sep)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Every writer emits exactly the join-of-render bytes, for empty
+    /// sequences, marks, multi-byte names and foreign ids alike.
+    #[test]
+    fn writers_emit_the_joined_render_bytes(
+        rows in prop::collection::vec(prop::collection::vec(0u32..7, 0..=6), 0..=5),
+        groups in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(0u32..7, 1..=3), 0..=4), 0..=4),
+        ticks in prop::collection::vec(0u64..1000, 0..=6),
+    ) {
+        use seqhide_data::stream::{PlainCodec, SeqWriter, StreamCodec};
+        use seqhide_types::{ItemsetSequence, Itemset, Sequence, SequenceDb, TimedEvent, TimedSequence};
+        let sigma = names_alphabet();
+        let seqs: Vec<Sequence> =
+            rows.iter().map(|r| r.iter().map(|&id| symbol(id)).collect()).collect();
+        let expected: String = seqs
+            .iter()
+            .map(|t| joined(&sigma, t.symbols(), " ") + "\n")
+            .collect();
+        let db = SequenceDb::from_parts(sigma.clone(), seqs.clone());
+        prop_assert_eq!(db.to_text(), expected.clone());
+        let mut codec_out = Vec::new();
+        let mut writer = SeqWriter::new(Vec::new());
+        for t in &seqs {
+            PlainCodec.write_line(&sigma, t, &mut codec_out).unwrap();
+            writer.write_seq(&sigma, t).unwrap();
+        }
+        prop_assert_eq!(String::from_utf8(codec_out).unwrap(), expected.clone());
+        prop_assert_eq!(String::from_utf8(writer.into_inner()).unwrap(), expected);
+
+        for g in &groups {
+            let t = ItemsetSequence::new(
+                g.iter().map(|e| Itemset::new(e.iter().map(|&id| symbol(id)).collect())).collect(),
+            );
+            let want = t
+                .elements()
+                .iter()
+                .map(|e| joined(&sigma, e.items(), ","))
+                .collect::<Vec<_>>()
+                .join(" ")
+                + "\n";
+            let mut out = Vec::new();
+            io::write_itemset_line(&sigma, &t, &mut out).unwrap();
+            prop_assert_eq!(String::from_utf8(out).unwrap(), want);
+        }
+
+        for r in &rows {
+            let mut sorted = ticks.clone();
+            sorted.sort_unstable();
+            let t = TimedSequence::new(
+                r.iter()
+                    .zip(sorted.iter().chain(std::iter::repeat(&1000)))
+                    .map(|(&id, &time)| TimedEvent { symbol: symbol(id), time })
+                    .collect(),
+            );
+            let want = t
+                .events()
+                .iter()
+                .map(|e| format!("{}@{}", sigma.render(e.symbol), e.time))
+                .collect::<Vec<_>>()
+                .join(" ")
+                + "\n";
+            let mut out = Vec::new();
+            io::write_timed_line(&sigma, &t, &mut out).unwrap();
+            prop_assert_eq!(String::from_utf8(out).unwrap(), want);
+        }
+    }
+}

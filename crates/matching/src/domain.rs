@@ -30,12 +30,12 @@ use seqhide_num::Count;
 use seqhide_obs::Phase;
 use seqhide_types::{ItemsetSequence, OpKind, Sequence, Symbol};
 
-use crate::counting::matching_size;
+use crate::counting::{count_matches, matching_size};
 use crate::delta::{argmax_delta, delta_all};
 use crate::engine::{EngineStats, ItemsetMatchEngine, MatchEngine};
 use crate::itemset::{matching_size_itemset, supports_itemset};
 use crate::pattern::SensitiveSet;
-use crate::support::supports;
+use crate::support::{all_present, supports};
 
 /// How positions are chosen inside one sequence.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -239,7 +239,13 @@ impl<C: Count> PatternDomain for MatchEngine<C> {
     }
 
     fn matching_size(&mut self, t: &Sequence) -> C {
-        matching_size::<C>(self.sensitive_set(), t)
+        let mut total = C::zero();
+        for p in self.sensitive_set().iter() {
+            if all_present(p.seq().symbols(), t.symbols()) {
+                total.add_assign(&count_matches::<C>(p, t));
+            }
+        }
+        total
     }
 
     fn seq_len(&self, t: &Sequence) -> usize {

@@ -1,6 +1,6 @@
 //! Support counting: `sup_D(S) = |{T ∈ D | S ⊑ T}|` (§3.1).
 
-use seqhide_types::{Sequence, SequenceDb};
+use seqhide_types::{Sequence, SequenceDb, Symbol};
 
 use crate::counting::count_matches;
 use crate::pattern::{SensitivePattern, SensitiveSet};
@@ -52,16 +52,31 @@ pub fn supporters(db: &SequenceDb, sh: &SensitiveSet) -> Vec<usize> {
 
 /// Whether `t` supports `p` (≥ 1 constrained occurrence).
 ///
-/// Unconstrained patterns use the greedy `O(n)` scan; constrained patterns
-/// fall back to the counting DP with saturating arithmetic (saturation
-/// cannot flip a non-zero count to zero, so the boolean answer is exact).
+/// Unconstrained patterns use the greedy `O(n)` scan. A constrained
+/// pattern is first rejected, without allocating, when one of its symbols
+/// is absent from `t`; only a pattern that passes runs the counting DP
+/// with saturating arithmetic (saturation cannot flip a non-zero count to
+/// zero, so the boolean answer is exact).
 pub fn supports(t: &Sequence, p: &SensitivePattern) -> bool {
     use seqhide_num::Count as _;
     if p.constraints().is_none() {
         is_subsequence(p.seq(), t)
     } else {
-        !count_matches::<seqhide_num::Sat64>(p, t).is_zero()
+        all_present(p.seq().symbols(), t.symbols())
+            && !count_matches::<seqhide_num::Sat64>(p, t).is_zero()
     }
+}
+
+/// Whether every symbol of `required` occurs unmarked in `t`; stops at the
+/// first absent one, allocates nothing and costs `O(m·n)`.
+///
+/// When a pattern symbol fails this, `t` holds no occurrence of the
+/// pattern: an occurrence matches each pattern element with a symbol of
+/// `t`, and the mark `Δ` matches nothing. Its count is then 0 under every
+/// constraint class and in every counter type, so skipping the DP is
+/// exact.
+pub(crate) fn all_present(required: &[Symbol], t: &[Symbol]) -> bool {
+    required.iter().all(|&s| !s.is_mark() && t.contains(&s))
 }
 
 #[cfg(test)]

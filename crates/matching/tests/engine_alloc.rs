@@ -1,7 +1,8 @@
 //! Allocation audit for the incremental engine: on the unconstrained and
 //! gap-constrained paths, a warmed [`MatchEngine`] must perform **zero**
 //! heap allocations per mark — `apply_mark`, `delta`, `argmax`, `total`
-//! and `candidates` all work in the buffers owned by the engine.
+//! and `candidates` all work in the buffers owned by the engine. Probes
+//! of a sequence that lacks a pattern symbol allocate nothing either.
 //!
 //! The audit swaps in a counting global allocator; this is an integration
 //! test binary, so the library's `#![forbid(unsafe_code)]` does not apply.
@@ -9,7 +10,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use seqhide_match::{ConstraintSet, Gap, MatchEngine, SensitivePattern, SensitiveSet};
+use seqhide_match::{
+    ConstraintSet, Gap, MatchEngine, PatternDomain, SensitivePattern, SensitiveSet,
+};
 use seqhide_num::{Count, Sat64};
 use seqhide_types::Sequence;
 
@@ -148,5 +151,54 @@ fn marking_loop_is_allocation_free_after_warmup() {
             "{name}: loop must drain all matches"
         );
         assert_eq!(count, 0, "{name}: marking loop allocated {count} times");
+    }
+}
+
+/// The supporter scan's common case is a sequence that lacks a pattern
+/// symbol. On it, a warmed engine's supporter test, matching size and
+/// per-pattern check must reject before any counting DP and allocate
+/// nothing, whatever the constraint class.
+#[test]
+fn rejected_probes_are_allocation_free() {
+    let pattern = Sequence::from_ids([0, 1, 2]);
+    let scenarios: Vec<(&str, ConstraintSet)> = vec![
+        ("unconstrained", ConstraintSet::none()),
+        (
+            "gap-constrained",
+            ConstraintSet::uniform_gap(Gap::bounded(1, 4)),
+        ),
+        ("max-window", ConstraintSet::with_max_window(5)),
+    ];
+    // holds 0 and 1 but never 2; a mark and a symbol beyond every
+    // pattern's ride along
+    let mut lacking = repeated(&[0, 1, 3, 1, 0, 9], 12);
+    lacking.mark(4);
+    for (name, cs) in scenarios {
+        let sh = SensitiveSet::from_patterns(vec![
+            SensitivePattern::new(pattern.clone(), cs.clone()).unwrap(),
+            SensitivePattern::new(Sequence::from_ids([2, 0]), cs).unwrap(),
+        ]);
+        let mut engine = MatchEngine::<Sat64>::new(&sh);
+        // warm-up: one probe each on a sequence that does support
+        let supporter = repeated(&[0, 1, 2], 4);
+        assert!(
+            engine.is_supporter(&supporter),
+            "{name}: fixture must match"
+        );
+        let _ = engine.matching_size(&supporter);
+        let mut answers = (true, Sat64::from_u64(1), true);
+        let count = allocations_during(|| {
+            answers = (
+                engine.is_supporter(&lacking),
+                engine.matching_size(&lacking),
+                (0..2).any(|k| engine.supports_pattern(&lacking, k)),
+            );
+        });
+        assert_eq!(
+            answers,
+            (false, Sat64::zero(), false),
+            "{name}: probes must reject"
+        );
+        assert_eq!(count, 0, "{name}: rejected probes allocated {count} times");
     }
 }

@@ -9,6 +9,7 @@
 /// ```text
 /// mine
 /// sanitize
+/// ├── supporter_scan
 /// ├── select_victims
 /// ├── local_sanitize
 /// │   ├── engine_load
@@ -29,8 +30,9 @@
 /// ```
 ///
 /// `engine_*` spans are also entered from the itemset sanitizer (the two
-/// engines share one core); attribute them to whichever sanitize phase is
-/// active in your run.
+/// engines share one core), and `supporter_scan`, `select_victims` and
+/// `verify` from every in-memory domain run; attribute them to whichever
+/// sanitize phase is active in your run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum Phase {
@@ -38,6 +40,11 @@ pub enum Phase {
     Mine,
     /// One whole `Sanitizer::run` (victim selection through verification).
     Sanitize,
+    /// The in-memory supporter scan: every sequence probed with
+    /// `is_supporter`, supporters measured for the victim sort key
+    /// (`SupporterIndex::scan`). A streamed run scans inside
+    /// `stream_pass1` instead.
+    SupporterScan,
     /// Global victim selection (`select_victims`).
     SelectVictims,
     /// Local sanitization of one victim sequence (per-victim span).
@@ -82,12 +89,13 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases.
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 20;
 
     /// Every phase, in declaration order.
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::Mine,
         Phase::Sanitize,
+        Phase::SupporterScan,
         Phase::SelectVictims,
         Phase::LocalSanitize,
         Phase::EngineLoad,
@@ -112,6 +120,7 @@ impl Phase {
         match self {
             Phase::Mine => "mine",
             Phase::Sanitize => "sanitize",
+            Phase::SupporterScan => "supporter_scan",
             Phase::SelectVictims => "select_victims",
             Phase::LocalSanitize => "local_sanitize",
             Phase::EngineLoad => "engine_load",
@@ -148,7 +157,9 @@ impl Phase {
             | Phase::DeltaApply
             | Phase::Serve => None,
             Phase::ServeRequest => Some(Phase::Serve),
-            Phase::SelectVictims | Phase::LocalSanitize | Phase::Verify => Some(Phase::Sanitize),
+            Phase::SupporterScan | Phase::SelectVictims | Phase::LocalSanitize | Phase::Verify => {
+                Some(Phase::Sanitize)
+            }
             Phase::EngineLoad | Phase::EngineRepair | Phase::FallbackRecount => {
                 Some(Phase::LocalSanitize)
             }

@@ -1,5 +1,6 @@
 //! Interning alphabet `Σ`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -83,11 +84,19 @@ impl Alphabet {
     /// Renders a symbol for display: its name, `"Δ"` for the mark, or the
     /// raw id if the symbol was interned elsewhere.
     pub fn render(&self, s: Symbol) -> String {
+        self.label(s).into_owned()
+    }
+
+    /// [`Alphabet::render`] without the copy: the interned name or `"Δ"`
+    /// borrowed, and only a foreign id formatted (as `s{id}`). Writers
+    /// emit every symbol through this, so a release costs no allocation
+    /// per symbol.
+    pub fn label(&self, s: Symbol) -> Cow<'_, str> {
         if s.is_mark() {
-            "Δ".to_owned()
+            Cow::Borrowed("Δ")
         } else {
             self.name(s)
-                .map_or_else(|| format!("s{}", s.id()), str::to_owned)
+                .map_or_else(|| Cow::Owned(format!("s{}", s.id())), Cow::Borrowed)
         }
     }
 
@@ -153,6 +162,15 @@ mod tests {
         assert_eq!(a.render(Symbol::new(0)), "s0");
         assert_eq!(a.render(Symbol::new(99)), "s99"); // foreign id
         assert_eq!(a.name(Symbol::MARK), None);
+    }
+
+    #[test]
+    fn label_borrows_all_but_foreign_ids() {
+        let mut a = Alphabet::new();
+        let x = a.intern("日本");
+        assert!(matches!(a.label(x), Cow::Borrowed("日本")));
+        assert!(matches!(a.label(Symbol::MARK), Cow::Borrowed("Δ")));
+        assert!(matches!(a.label(Symbol::new(7)), Cow::Owned(ref s) if s == "s7"));
     }
 
     #[test]

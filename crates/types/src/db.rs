@@ -141,10 +141,24 @@ impl SequenceDb {
     /// mark, so sanitized databases round-trip; consumers treat `Δ` as a
     /// missing value, as §4 of the paper suggests).
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        // Sized exactly up front: a buffer grown by doubling can hold
+        // almost twice the release at its peak.
+        let len = self
+            .sequences
+            .iter()
+            .map(|t| {
+                let names: usize = t.iter().map(|&s| self.alphabet.label(s).len()).sum();
+                names + t.len().max(1)
+            })
+            .sum();
+        let mut out = String::with_capacity(len);
         for t in &self.sequences {
-            let line: Vec<String> = t.iter().map(|&s| self.alphabet.render(s)).collect();
-            out.push_str(&line.join(" "));
+            for (i, &s) in t.iter().enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                out.push_str(&self.alphabet.label(s));
+            }
             out.push('\n');
         }
         out

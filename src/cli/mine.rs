@@ -1,6 +1,8 @@
 //! `seqhide mine` — list frequent patterns (`F(D, σ)`) with PrefixSpan,
-//! GSP, or the itemset miner.
+//! GSP, or the itemset miner. `--mode string` lists the contiguous
+//! substrings that string mode hides: GSP with every gap 0.
 
+use seqhide_match::{ConstraintSet, Gap};
 use seqhide_mine::{Gsp, MinerConfig, PrefixSpan};
 use seqhide_serve::exec::Mode;
 use seqhide_types::SequenceDb;
@@ -47,8 +49,32 @@ pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
         ));
     }
     let db = SequenceDb::parse(&read_text(flags)?);
-    let result = match flags.one("miner").unwrap_or("prefixspan") {
+    let string = mode == Mode::String;
+    let result = match flags
+        .one("miner")
+        .unwrap_or(if string { "gsp" } else { "prefixspan" })
+    {
+        "prefixspan" if string => {
+            return Err(err(
+                "--miner prefixspan mines subsequences; --mode string mines contiguous \
+                 substrings with gsp",
+            ))
+        }
         "prefixspan" => PrefixSpan::mine(&db, &cfg),
+        "gsp" if string => {
+            if let Some(flag) = ["min-gap", "max-gap", "max-window"]
+                .into_iter()
+                .find(|&f| flags.has(f))
+            {
+                return Err(err(format!(
+                    "--{flag} does not apply to --mode string: its patterns are contiguous \
+                     substrings, mined with no gap"
+                )));
+            }
+            // A contiguous occurrence is exactly one with every gap 0.
+            let cs = ConstraintSet::uniform_gap(Gap::adjacent());
+            Gsp::mine(&db, &cfg.with_constraints(cs))
+        }
         "gsp" => {
             let (min_gap, max_gap, max_window) = gaps(flags)?;
             let cs =

@@ -56,10 +56,12 @@ seqhide — hiding sensitive sequential patterns (ICDE 2007 reproduction)
 
 USAGE:
   seqhide stats  --db FILE [--mode plain|itemset|timed|string]
-  seqhide mine   --db FILE --sigma N [--mode plain|itemset]
+  seqhide mine   --db FILE --sigma N [--mode plain|itemset|string]
                  [--miner prefixspan|gsp] [--max-len L] [--top K]
                  [--min-gap G] [--max-gap G] [--max-window W]
                  [--metrics-out FILE] [--progress]
+                 (--mode string lists contiguous substrings: gsp with
+                 every gap 0; it refuses prefixspan and the gap flags)
   seqhide hide   --db FILE --psi N (--pattern \"a b\")... [--regex \"a (b|c)+ d\"]...
                  [--mode plain|itemset|timed|string]
                  [--op mark|delete|substitute] [--algorithm hh|hr|rh|rr]

@@ -74,6 +74,53 @@ fn mine_lists_frequent_patterns() {
     assert_eq!(top.lines().count(), 2);
 }
 
+/// String mode hides contiguous substrings, so `mine --mode string` must
+/// list exactly those: ⟨a b⟩ occurs in `a x b` only as a subsequence.
+#[test]
+fn mine_string_mode_lists_contiguous_substrings() {
+    let dir = tmpdir("minestring");
+    let gapped = write_db(&dir, "gapped.seq", "a x b\na y b\n");
+    let out = run(&args(&[
+        "mine", "--db", &gapped, "--sigma", "2", "--mode", "string",
+    ]))
+    .unwrap();
+    assert!(out.contains("frequent patterns (σ = 2): 2"), "{out}");
+    assert!(!out.contains("⟨a b⟩"), "{out}");
+    // string mode itself finds no occurrence of the subsequence
+    let hide = run(&args(&[
+        "hide",
+        "--db",
+        &gapped,
+        "--psi",
+        "0",
+        "--mode",
+        "string",
+        "--pattern",
+        "a b",
+    ]))
+    .unwrap();
+    assert!(hide.contains("residual supports [0]"), "{hide}");
+    let adjacent = write_db(&dir, "adjacent.seq", "a b c\nx a b\n");
+    let out = run(&args(&[
+        "mine", "--db", &adjacent, "--sigma", "2", "--mode", "string",
+    ]))
+    .unwrap();
+    assert!(out.contains("     2  ⟨a b⟩"), "{out}");
+    // flags that only make sense for subsequence mining are refused by name
+    for (flag, value) in [
+        ("--miner", "prefixspan"),
+        ("--min-gap", "1"),
+        ("--max-gap", "2"),
+        ("--max-window", "3"),
+    ] {
+        let e = run(&args(&[
+            "mine", "--db", &adjacent, "--sigma", "2", "--mode", "string", flag, value,
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains(&flag[2..]), "{flag}: {e}");
+    }
+}
+
 #[test]
 fn hide_then_verify_roundtrip() {
     let dir = tmpdir("hide");
@@ -506,6 +553,58 @@ fn metrics_out_writes_documented_schema() {
     if seqhide_obs::is_enabled() {
         assert!(json.contains("\"name\": \"mine\""), "{json}");
     }
+}
+
+/// The in-memory supporter scan has its own phase under `sanitize`. The
+/// binary runs as a child process: the obs sinks are process-wide, and
+/// the tests of this file share one process and run concurrently.
+#[test]
+fn metrics_out_times_the_supporter_scan() {
+    if !seqhide_obs::is_enabled() {
+        return;
+    }
+    let dir = tmpdir("scanphase");
+    let db = write_db(&dir, "db.seq", "a b c\nb a c\nc c a\na c\n");
+    let metrics_path = dir.join("metrics.json").to_string_lossy().into_owned();
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_seqhide"))
+        .args(args(&[
+            "hide",
+            "--db",
+            &db,
+            "--psi",
+            "0",
+            "--pattern",
+            "a c",
+            "--max-gap",
+            "1",
+            "--metrics-out",
+            &metrics_path,
+        ]))
+        .stdout(std::process::Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let json = fs::read_to_string(&metrics_path).unwrap();
+    assert!(
+        json.contains("\"name\": \"supporter_scan\", \"parent\": \"sanitize\""),
+        "{json}"
+    );
+    // (calls, total_ns) of the phase row named `name`
+    let phase = |name: &str| -> (u64, u64) {
+        let row = json
+            .lines()
+            .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+            .unwrap_or_else(|| panic!("no {name} phase in {json}"));
+        let field = |key: &str| -> u64 {
+            let rest = &row[row.find(key).unwrap() + key.len()..];
+            let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+            rest[..end].parse().unwrap()
+        };
+        (field("\"calls\": "), field("\"total_ns\": "))
+    };
+    let (scan_calls, scan_ns) = phase("supporter_scan");
+    assert_eq!(scan_calls, 1, "{json}");
+    assert!(scan_ns <= phase("sanitize").1, "{json}");
 }
 
 /// `--metrics-out` must not silently drop the run's telemetry when the
